@@ -8,6 +8,11 @@ one the terms decay immediately, above one their envelope rises over a hump
 before the factorial-type decay wins.  The stopping rule and the majorant
 reported in traces both use the provable Gamma-form envelope.
 
+Every series form (general, single tier, common target, idle-only, bounds
+and traces) is one parameterisation of a single kernel that evaluates
+blocks of term indices for many series at once, with the envelope in log
+space so that no power of A/eta can overflow.
+
 All results are exact when every target SIR exceeds 0 dB; lower targets are
 computed as-is and flagged with AssumptionWarning (the idle-only variant
 needs no such assumption).
@@ -17,8 +22,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+
+import numpy as np
+from scipy.special import gammaln, hyp2f1
 
 from .model import (
     AssumptionWarning,
@@ -29,9 +36,12 @@ from .model import (
     Tier,
     derived_constants,
     effective_load,
-    hypergeometric_sum,
 )
-from .specfun import SeriesConvergenceError, gauss_2f1, interference_constant
+
+# The series no longer calls these two, but they stay importable here: the
+# benchmark tracer wraps every name it counts at each module listed for it.
+from .model import hypergeometric_sum  # noqa: F401
+from .specfun import SeriesConvergenceError, gauss_2f1, interference_constant  # noqa: F401
 
 __all__ = [
     "SeriesTermTrace",
@@ -41,6 +51,7 @@ __all__ = [
     "closed_form_first_terms",
     "full_load_coverage",
     "coverage",
+    "coverage_batch",
     "coverage_bounds",
     "truncation_terms",
     "convergence_threshold",
@@ -56,6 +67,14 @@ _DEFAULT_CONTROL = SeriesControl()
 # before that the alternating cancellation has exhausted double precision;
 # the series driver aborts there and reports non-convergence.
 _LOG_TERM_LIMIT = 690.0
+
+# Unit roundoff u of double precision: a sum of terms whose magnitudes add
+# up to S carries a rounding error of about u * S.
+_UNIT_ROUNDOFF = 2.0**-53
+
+# Term indices per series in the kernel's first block; each later block is
+# twice the size of the one before.  Loaded networks stop within the first.
+_FIRST_BLOCK = 32
 
 
 def _warn_low_targets(network: Network) -> None:
@@ -78,93 +97,144 @@ def laplace_interference(network: Network, s: float) -> float:
 
 
 @dataclass(frozen=True)
-class _SeriesView:
-    """Everything the series driver needs: the head term, the envelope ratio
-    and a closure producing the hypergeometric-to-scale ratio per index."""
+class _Series:
+    """Parameters of one correction series, with delta = 2/alpha.
+
+    Term m is (-ratio)^m [1/Gamma(1 + delta m) - pi Gamma(1 + delta)
+    / Gamma(1 + (m+1) delta) * sum_i weights[i] (1 + betas[i])^(-delta m)
+    2F1(1, delta m; 1 + (m+1) delta; 1/(1 + betas[i]))], and the coverage is
+    base minus the sum of the terms.  No betas means idle-only terms.
+    """
 
     alpha: float
-    a_over_eta: float
+    ratio: float
     base: float
-    hyper_over_eta: Callable[[int], float]
+    betas: tuple[float, ...] = ()
+    weights: tuple[float, ...] = ()
 
 
-def _term_from_view(view: _SeriesView, m: int) -> float:
-    two_over = 2.0 / view.alpha
-    head = math.exp(-math.lgamma(1.0 + two_over * m))
-    tail = (
-        view.hyper_over_eta(m)
-        * math.pi
-        * math.gamma(1.0 + two_over)
-        * math.exp(-math.lgamma(1.0 + (m + 1) * two_over))
-    )
-    return (-view.a_over_eta) ** m * (head - tail)
-
-
-def _network_view(network: Network, eta_over_access: bool) -> _SeriesView:
+def _network_series(network: Network, eta_over_access: bool) -> _Series:
+    """The general series.  The head term's numerator and the hypergeometric
+    sum run over the access tiers, each tier weighted by its active field;
+    the head term's denominator keeps every tier because all tiers
+    interfere."""
     dc = derived_constants(network, eta_over_access=eta_over_access)
-    scale = dc.interference_scale
-
-    def hyper_over_eta(m: int) -> float:
-        return hypergeometric_sum(network, m) / scale
-
-    return _SeriesView(
+    two_over = 2.0 / network.alpha
+    access = [t for _, t in network.access_tiers()]
+    active = [
+        t.activity * t.density * t.power**two_over * t.target_sir**-two_over
+        for t in access
+    ]
+    denominator = sum(t.activity * t.density * t.power**two_over for t in network.tiers)
+    return _Series(
         alpha=network.alpha,
-        a_over_eta=dc.a_over_eta,
-        base=full_load_coverage(network).value,
-        hyper_over_eta=hyper_over_eta,
+        ratio=dc.a_over_eta,
+        base=math.pi / dc.c_alpha * sum(active) / denominator,
+        betas=tuple(t.target_sir for t in access),
+        weights=tuple(a / dc.interference_scale for a in active),
     )
 
 
-def _run_series(
-    term_of: Callable[[int], float],
-    ratio: float,
-    alpha: float,
-    control: SeriesControl,
-) -> tuple[list[float], bool]:
-    """Accumulate series terms under the stopping rule.
+def _hyper_rows(delta: np.ndarray, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1 + beta)^(-delta m) 2F1(1, delta m; 1 + (m+1) delta; 1/(1 + beta))
+    for every row (delta, beta) and every index in m."""
+    delta, beta = delta[:, None], beta[:, None]
+    b = delta * m
+    return (1.0 + beta) ** -b * hyp2f1(1.0, b, 1.0 + (m + 1.0) * delta, 1.0 / (1.0 + beta))
 
-    Stops at the first index where the term magnitude drops below epsilon
-    AND the envelope ratio^m / Gamma(1 + 2m/alpha) has started to decrease,
-    so a small term inside the rising part of the envelope (possible when
-    ratio > 1) cannot end the summation early.
+
+def _series_terms(
+    series: list[_Series], control: SeriesControl, count: int | None = None
+) -> list[tuple[list[float], bool]]:
+    """(terms, converged) of every series, evaluated block by block.
+
+    Each block computes a run of term indices for all series still going as
+    arrays of shape (series x indices), with one row of hypergeometric
+    factors per distinct (alpha, target) pair.  Without count a series stops
+    at the first index whose term is below epsilon while its envelope
+    ratio^m / Gamma(1 + 2m/alpha) is falling, so a small term inside the
+    rising part (possible when ratio > 1) cannot end the summation early;
+    it also stops before an envelope above exp(_LOG_TERM_LIMIT) and at the
+    term cap.  converged is True only when the rule fired and the rounding
+    error estimate u * sum |t_m| of the alternating sum stays within
+    epsilon.  With count every series yields exactly count terms: no term
+    is below a zero tolerance and no envelope exceeds an infinite limit.
     """
-    log_ratio = math.log(ratio)
-    terms: list[float] = []
-    prev_log_env = 0.0
-    converged = False
-    for m in range(1, control.max_terms + 1):
-        log_env = m * log_ratio - math.lgamma(1.0 + 2.0 * m / alpha)
-        if log_env > _LOG_TERM_LIMIT:
-            break
-        term = term_of(m)
-        terms.append(term)
-        if abs(term) < control.epsilon and log_env < prev_log_env:
-            converged = True
-            break
-        prev_log_env = log_env
-    return terms, converged
+    cap, epsilon, limit = control.max_terms, control.epsilon, _LOG_TERM_LIMIT
+    if count is not None:
+        cap, epsilon, limit = count, 0.0, math.inf
+    rows: dict[tuple[float, float], int] = {}
+    width = max((len(s.betas) for s in series), default=0)
+    row_of = np.zeros((len(series), width), dtype=int)
+    weight = np.zeros((len(series), width))
+    for i, s in enumerate(series):
+        for k, (beta, w) in enumerate(zip(s.betas, s.weights)):
+            row_of[i, k] = rows.setdefault((2.0 / s.alpha, beta), len(rows))
+            weight[i, k] = w
+    row_delta = np.array([d for d, _ in rows])
+    row_beta = np.array([beta for _, beta in rows])
+    # Columns of the series still going; rows are dropped as series stop.
+    live = np.arange(len(series))
+    delta = np.array([[2.0 / s.alpha] for s in series])
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log([[s.ratio] for s in series])
+    log_pi_gamma = math.log(math.pi) + gammaln(1.0 + delta)
+    prev_log_env = np.zeros((len(series), 1))
+    terms_of: list[list[float]] = [[] for _ in series]
+    fired = [False] * len(series)
+    start, size = 1, _FIRST_BLOCK
+    while live.size and start <= cap:
+        stop = min(start + size, cap + 1)
+        m = np.arange(start, stop, dtype=float)
+        log_gamma = gammaln(1.0 + delta * np.arange(start, stop + 1.0))
+        log_env = m * log_ratio - log_gamma[:, :-1]
+        hyper = _hyper_rows(row_delta, row_beta, m)
+        tail = np.zeros(log_env.shape)
+        for k in range(width):
+            tail += weight[:, k, None] * hyper[row_of[:, k]]
+        kappa = np.exp(log_pi_gamma + log_gamma[:, :-1] - log_gamma[:, 1:])
+        sign = np.where(m % 2.0 == 1.0, -1.0, 1.0)
+        with np.errstate(over="ignore"):
+            terms = sign * (1.0 - kappa * tail) * np.exp(np.minimum(log_env, limit))
+        over = log_env > limit
+        falling = log_env < np.concatenate((prev_log_env, log_env[:, :-1]), axis=1)
+        halt = over | (falling & (np.abs(terms) < epsilon))
+        first = halt.argmax(axis=1)
+        at = np.arange(live.size)
+        halted = halt[at, first]
+        done = halted & ~over[at, first]
+        keep = np.where(halted, first + done, m.size)
+        for j, i in enumerate(live.tolist()):
+            terms_of[i] += terms[j, : keep[j]].tolist()
+            fired[i] = bool(done[j])
+        going = ~halted
+        live, delta, log_ratio = live[going], delta[going], log_ratio[going]
+        log_pi_gamma, weight, row_of = log_pi_gamma[going], weight[going], row_of[going]
+        prev_log_env = log_env[going, -1:]
+        start, size = stop, 2 * size
+    return [
+        (terms, fired_ and _UNIT_ROUNDOFF * math.fsum(map(abs, terms)) <= epsilon)
+        for terms, fired_ in zip(terms_of, fired)
+    ]
 
 
-def _assemble(
-    base: float,
-    ratio: float,
-    alpha: float,
-    term_of: Callable[[int], float],
-    control: SeriesControl,
-) -> CoverageResult:
-    if ratio == 0.0:
-        # Every correction term vanishes; the head term is exact.
-        return CoverageResult(base, base, base, 0, 0.0, True)
-    terms, converged = _run_series(term_of, ratio, alpha, control)
-    value = base - math.fsum(terms)
-    if not terms:
-        return CoverageResult(value, value, value, 0, ratio, converged)
-    previous = base - math.fsum(terms[:-1])
-    if len(terms) % 2 == 0:
-        lower, upper = value, previous
-    else:
-        lower, upper = previous, value
-    return CoverageResult(value, lower, upper, len(terms), ratio, converged)
+def _coverage_of(series: list[_Series], control: SeriesControl) -> list[CoverageResult]:
+    """Coverage results of many series from one kernel call, with the
+    truncation bracket from the last two partial sums."""
+    pending = iter(_series_terms([s for s in series if s.ratio != 0.0], control))
+    results = []
+    for s in series:
+        base, ratio = s.base, s.ratio
+        if ratio == 0.0:
+            # Every correction term vanishes; the head term is exact.
+            results.append(CoverageResult(base, base, base, 0, 0.0, True))
+            continue
+        terms, converged = next(pending)
+        value = base - math.fsum(terms)
+        previous = base - math.fsum(terms[:-1])
+        lower, upper = (value, previous) if len(terms) % 2 == 0 else (previous, value)
+        results.append(CoverageResult(value, lower, upper, len(terms), ratio, converged))
+    return results
 
 
 def correction_term(
@@ -177,7 +247,9 @@ def correction_term(
     """
     if m < 1:
         raise ValueError(f"term index must be >= 1, got {m}")
-    return _term_from_view(_network_view(network, eta_over_access), m)
+    series = _network_series(network, eta_over_access)
+    terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=m)[0]
+    return terms[-1]
 
 
 @dataclass(frozen=True)
@@ -208,35 +280,24 @@ def correction_trace(
     stopping rule; otherwise the trace ends where the rule fires.
     """
     control = control or _DEFAULT_CONTROL
-    view = _network_view(network, eta_over_access)
-    ratio = view.a_over_eta
-    if count is not None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        terms = [_term_from_view(view, m) for m in range(1, count + 1)]
-    else:
-        if ratio == 0.0:
-            return []
-        terms, _ = _run_series(
-            lambda m: _term_from_view(view, m), ratio, network.alpha, control
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    series = _network_series(network, eta_over_access)
+    if count is None and series.ratio == 0.0:
+        return []
+    terms, _ = _series_terms([series], control, count=count)[0]
+    m = np.arange(1.0, len(terms) + 1.0)
+    with np.errstate(divide="ignore"):
+        majorants = np.exp(m * np.log(series.ratio) - gammaln(1.0 + 2.0 * m / network.alpha))
+    return [
+        SeriesTermTrace(
+            index=index,
+            term=term,
+            majorant=float(majorant),
+            partial_sum=math.fsum(terms[:index]),
         )
-    trace = []
-    for m, term in enumerate(terms, start=1):
-        if ratio == 0.0:
-            env = 0.0
-        else:
-            env = math.exp(
-                m * math.log(ratio) - math.lgamma(1.0 + 2.0 * m / network.alpha)
-            )
-        trace.append(
-            SeriesTermTrace(
-                index=m,
-                term=term,
-                majorant=env,
-                partial_sum=math.fsum(terms[:m]),
-            )
-        )
-    return trace
+        for index, (term, majorant) in enumerate(zip(terms, majorants), start=1)
+    ]
 
 
 def closed_form_first_terms(network: Network) -> tuple[float, float]:
@@ -277,19 +338,8 @@ def full_load_coverage(network: Network) -> CoverageResult:
     The connectable numerator runs over the access tiers; the denominator
     keeps every tier because all tiers interfere.
     """
-    alpha = network.alpha
-    two_over = 2.0 / alpha
-    c_alpha = interference_constant(alpha)
-    numerator = sum(
-        t.activity * t.density * t.power**two_over * t.target_sir**-two_over
-        for _, t in network.access_tiers()
-    )
-    denominator = sum(
-        t.activity * t.density * t.power**two_over for t in network.tiers
-    )
-    value = math.pi / c_alpha * numerator / denominator
-    ratio = derived_constants(network).a_over_eta
-    return CoverageResult(value, value, value, 0, ratio, True)
+    series = _network_series(network, False)
+    return CoverageResult(series.base, series.base, series.base, 0, series.ratio, True)
 
 
 def coverage(
@@ -304,17 +354,28 @@ def coverage(
     on that connection each tier-i interferer transmits independently with
     its activity factor.  Exact when every target SIR exceeds 0 dB (lower
     targets warn); converged is False when the term cap was hit while the
-    envelope still exceeded epsilon.
+    envelope still exceeded epsilon, or when the rounding error of the
+    alternating sum (u times the sum of the term magnitudes) exceeds epsilon.
     """
     control = control or _DEFAULT_CONTROL
     _warn_low_targets(network)
-    view = _network_view(network, eta_over_access)
-    return _assemble(
-        view.base,
-        view.a_over_eta,
-        network.alpha,
-        lambda m: _term_from_view(view, m),
-        control,
+    return _coverage_of([_network_series(network, eta_over_access)], control)[0]
+
+
+def coverage_batch(
+    networks: list[Network],
+    control: SeriesControl | None = None,
+    *,
+    eta_over_access: bool = False,
+) -> list[CoverageResult]:
+    """coverage() of every network, with all their series evaluated together
+    by one kernel call; each result equals coverage() of its network bit for
+    bit."""
+    control = control or _DEFAULT_CONTROL
+    for network in networks:
+        _warn_low_targets(network)
+    return _coverage_of(
+        [_network_series(network, eta_over_access) for network in networks], control
     )
 
 
@@ -330,13 +391,9 @@ def coverage_bounds(
     """
     if m < 1:
         raise ValueError(f"bound order must be >= 1, got {m}")
-    view = _network_view(network, eta_over_access)
-    if view.a_over_eta == 0.0:
-        return view.base, view.base
-    terms = [_term_from_view(view, i) for i in range(1, 2 * m + 1)]
-    lower = view.base - math.fsum(terms)
-    upper = view.base - math.fsum(terms[:-1])
-    return lower, upper
+    series = _network_series(network, eta_over_access)
+    terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=2 * m)[0]
+    return series.base - math.fsum(terms), series.base - math.fsum(terms[:-1])
 
 
 def truncation_terms(
@@ -347,18 +404,18 @@ def truncation_terms(
     eta_over_access: bool = False,
 ) -> int:
     """Smallest series index whose term magnitude falls below epsilon on the
-    decreasing side of the envelope."""
+    decreasing side of the envelope.
+
+    Raises SeriesConvergenceError when the term cap is hit first, or when
+    the rounding error of the alternating sum exceeds epsilon.
+    """
     control = SeriesControl(epsilon=epsilon, max_terms=max_terms)
-    view = _network_view(network, eta_over_access)
-    if view.a_over_eta == 0.0:
-        return 1  # the first term is already zero
-    terms, converged = _run_series(
-        lambda m: _term_from_view(view, m), view.a_over_eta, network.alpha, control
-    )
+    series = _network_series(network, eta_over_access)
+    terms, converged = _series_terms([series], control)[0]
     if not converged:
         raise SeriesConvergenceError(
             f"series did not reach epsilon={epsilon} within {max_terms} terms "
-            f"(A/eta = {view.a_over_eta:.4g})"
+            f"or its rounding error exceeds it (A/eta = {series.ratio:.4g})"
         )
     return len(terms)
 
@@ -392,8 +449,9 @@ def coverage_single_tier(
 
     Density and power cancel exactly in every ratio, which is the
     scale-invariance property of a single-tier network; the arguments are
-    kept for interface symmetry and validation only.  Must agree with the
-    general series on the equivalent one-tier network to near machine
+    kept for interface symmetry and validation only, and the common-target
+    ratio forms run on a tier of unit power and density.  Must agree with
+    the general series on the equivalent one-tier network to near machine
     precision.
     """
     tier = Tier(power=power, density=density, target_sir=target_sir, activity=activity)
@@ -401,30 +459,9 @@ def coverage_single_tier(
         raise ModelValidationError(
             "single-tier activity of zero leaves no interference field"
         )
-    network = Network(alpha=alpha, tiers=(tier,))
-    _warn_low_targets(network)
-    control = control or _DEFAULT_CONTROL
-    two_over = 2.0 / alpha
-    c_alpha = interference_constant(alpha)
-    beta = target_sir
-    ratio = (
-        math.pi
-        * math.gamma(1.0 + two_over)
-        * (1.0 - activity)
-        / (c_alpha * activity * beta**two_over)
-    )
-    base = math.pi * beta**-two_over / c_alpha
-
-    def hyper_over_eta(m: int) -> float:
-        b = two_over * m
-        c = 1.0 + (m + 1) * two_over
-        z = 1.0 / (1.0 + beta)
-        return gauss_2f1(1.0, b, c, z) / (c_alpha * beta**two_over * (1.0 + beta) ** b)
-
-    view = _SeriesView(alpha, ratio, base, hyper_over_eta)
-    return _assemble(
-        base, ratio, alpha, lambda m: _term_from_view(view, m), control
-    )
+    unit = Network(alpha=alpha, tiers=(replace(tier, power=1.0, density=1.0),))
+    _warn_low_targets(unit)
+    return _coverage_of([_equal_target_series(unit, False)], control or _DEFAULT_CONTROL)[0]
 
 
 def coverage_equal_targets(
@@ -445,7 +482,11 @@ def coverage_equal_targets(
             f"equal-target coverage requires one common target SIR, got {sorted(targets)}"
         )
     _warn_low_targets(network)
-    control = control or _DEFAULT_CONTROL
+    series = _equal_target_series(network, eta_over_access)
+    return _coverage_of([series], control or _DEFAULT_CONTROL)[0]
+
+
+def _equal_target_series(network: Network, eta_over_access: bool) -> _Series:
     alpha = network.alpha
     two_over = 2.0 / alpha
     c_alpha = interference_constant(alpha)
@@ -470,21 +511,8 @@ def coverage_equal_targets(
         / (c_alpha * beta**two_over * active_scale)
     )
     base = math.pi / c_alpha * beta**-two_over * active_acc / active_all
-
-    def hyper_over_eta(m: int) -> float:
-        b = two_over * m
-        c = 1.0 + (m + 1) * two_over
-        z = 1.0 / (1.0 + beta)
-        return (
-            gauss_2f1(1.0, b, c, z)
-            * active_acc
-            / (c_alpha * beta**two_over * (1.0 + beta) ** b * active_scale)
-        )
-
-    view = _SeriesView(alpha, ratio, base, hyper_over_eta)
-    return _assemble(
-        base, ratio, alpha, lambda m: _term_from_view(view, m), control
-    )
+    weight = active_acc / (c_alpha * beta**two_over * active_scale)
+    return _Series(alpha, ratio, base, (beta,), (weight,))
 
 
 def tier_addition_effect(network: Network, new_tier: Tier) -> str:
@@ -518,12 +546,8 @@ def coverage_idle_only(
     candidate assumption is never needed here).
     """
     control = control or _DEFAULT_CONTROL
+    # The terms are (-ratio)^m / Gamma(1 + 2m/alpha): no hypergeometric part.
     # ratio == 0 means no idle candidates exist at all, so the mobile can
-    # never connect and _assemble degenerates to the correct value of 0.
+    # never connect and the result degenerates to the correct value of 0.
     ratio = derived_constants(network).a_over_eta
-    two_over = 2.0 / network.alpha
-
-    def term_of(m: int) -> float:
-        return (-ratio) ** m * math.exp(-math.lgamma(1.0 + two_over * m))
-
-    return _assemble(0.0, ratio, network.alpha, term_of, control)
+    return _coverage_of([_Series(network.alpha, ratio, 0.0)], control)[0]

@@ -13,6 +13,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -26,6 +27,7 @@ import numpy as np
 from .analytic import (
     correction_trace,
     coverage,
+    coverage_batch,
     coverage_idle_only,
     full_load_coverage,
 )
@@ -111,11 +113,20 @@ def _csv_text(metadata: list[tuple[str, object]], header: list[str], rows) -> st
     return "\n".join(lines) + "\n"
 
 
-def _quiet_coverage(network: Network, control: SeriesControl):
-    """Series coverage with assumption warnings routed to the report."""
+def _quietly(series_fn, *args):
+    """Series entry point without assumption warnings; reports list them."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AssumptionWarning)
-        return coverage(network, control)
+        return series_fn(*args)
+
+
+def _sim_config(args) -> SimConfig:
+    return SimConfig(
+        trials=args.trials,
+        seed=args.seed,
+        window_radius=args.radius,
+        min_expected_points=args.min_points,
+    )
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -172,7 +183,7 @@ def _network_with(network: Network, target: str, value: float) -> Network:
 def _cmd_coverage(args) -> int:
     network = _load_network(args.scenario)
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
-    result = _quiet_coverage(network, control)
+    result = _quietly(coverage, network, control)
     report = {
         "engine": "analytic",
         "access": "open" if network.is_open_access else "closed",
@@ -192,12 +203,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_simulate(args) -> int:
     network = _load_network(args.scenario)
-    sim = SimConfig(
-        trials=args.trials,
-        seed=args.seed,
-        window_radius=args.radius,
-        min_expected_points=args.min_points,
-    )
+    sim = _sim_config(args)
     radius = args.radius or default_window_radius(network, args.min_points)
     if args.load == "system":
         if args.resource_blocks is None or args.user_density is None:
@@ -233,13 +239,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     network = _load_network(args.scenario)
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
-    sim = SimConfig(
-        trials=args.trials,
-        seed=args.seed,
-        window_radius=args.radius,
-        min_expected_points=args.min_points,
-    )
-    analytic_ct = _quiet_coverage(network, control)
+    sim = _sim_config(args)
+    analytic_ct = _quietly(coverage, network, control)
     analytic_fl = full_load_coverage(network)
     analytic_idle = coverage_idle_only(network, control)
     rows = []
@@ -287,132 +288,101 @@ def _sweep_series_index(network, values, control):
         for t in trace
         if t.index in set(indices)
     ]
-    return header, rows
+    return header, rows, []  # a trace has no convergence to report
 
 
-def _sweep_user_density(network, values, control, args):
-    if args.resource_blocks is None:
-        raise ModelValidationError(
-            "user_density sweeps need --resource-blocks"
-        )
-    want_analytic = args.engine in ("analytic", "both")
-    want_mc = args.engine in ("mc", "both")
-    header = ["user_density"]
-    header += [f"activity_{j}" for j in range(1, network.num_tiers + 1)]
-    if want_analytic:
-        header += ["analytic_value", "analytic_lower", "analytic_upper"]
-    if want_mc:
-        header += ["mc_mean", "mc_stderr"]
-    rows = []
-    for lu in values:
-        activities = activity_from_user_density(network, lu, args.resource_blocks)
-        row = [lu, *activities]
-        if want_analytic:
-            loaded = replace(
-                network,
-                tiers=tuple(
-                    replace(t, activity=a)
-                    for t, a in zip(network.tiers, activities)
-                ),
-            )
-            result = _quiet_coverage(loaded, control)
-            row += [result.value, result.lower, result.upper]
-        if want_mc:
-            sim = SimConfig(
-                trials=args.trials,
-                seed=args.seed,
-                window_radius=args.radius,
-                min_expected_points=args.min_points,
-            )
-            est = estimate_coverage_system(network, lu, args.resource_blocks, sim)
-            row += [est.mean, est.stderr]
-        rows.append(tuple(row))
-    return header, rows
+def _sweep_points(network, target, values, args):
+    """Turn the grid into sweep points.
 
-
-def _sweep_access_fraction(network, values, control, args):
-    outside = [i for i in range(1, network.num_tiers + 1) if i not in network.access]
-    if len(outside) != 1:
-        raise ModelValidationError(
-            "access_fraction sweeps need exactly one closed tier in the scenario"
-        )
-    closed_index = outside[0]
-    closed_tier = network.tiers[closed_index - 1]
-    want_analytic = args.engine in ("analytic", "both")
-    want_mc = args.engine in ("mc", "both")
-    header = ["f"]
-    if want_analytic:
-        header += ["analytic_closed", "analytic_open", "gap"]
-    if want_mc:
-        header += ["mc_closed_mean", "mc_closed_stderr", "mc_open_mean", "mc_open_stderr"]
-    rows = []
-    for f in values:
-        if not 0.0 <= f < 1.0:
+    Returns the leading, analytic and Monte Carlo column names and, per grid
+    value, the leading cells, the networks the analytic engine evaluates and
+    the Monte Carlo estimates as (estimator, arguments before the
+    SimConfig).  An access fraction has two networks per point: its
+    closed-access and its open-access variant.
+    """
+    analytic = ["analytic_value", "analytic_lower", "analytic_upper"]
+    mc = ["mc_mean", "mc_stderr"]
+    points = []
+    if target == "user_density":
+        if args.resource_blocks is None:
             raise ModelValidationError(
-                f"access fractions must lie in [0, 1), got {f}"
+                "user_density sweeps need --resource-blocks"
             )
-        # The scenario's closed tier keeps its density; the open part of the
-        # same class grows with the fraction to keep the closed density fixed.
-        open_tier = replace(
-            closed_tier, density=closed_tier.density * f / (1.0 - f)
-        )
-        tiers = network.tiers + (open_tier,)
-        open_index = len(tiers)
-        restricted = Network(
-            alpha=network.alpha,
-            tiers=tiers,
-            access=network.access | {open_index},
-        )
-        unrestricted = Network(alpha=network.alpha, tiers=tiers, access=None)
-        row = [f]
-        if want_analytic:
-            closed_result = _quiet_coverage(restricted, control)
-            open_result = _quiet_coverage(unrestricted, control)
-            row += [
-                closed_result.value,
-                open_result.value,
-                open_result.value - closed_result.value,
+        lead = ["user_density"]
+        lead += [f"activity_{j}" for j in range(1, network.num_tiers + 1)]
+        for lu in values:
+            activities = activity_from_user_density(network, lu, args.resource_blocks)
+            tiers = tuple(replace(t, activity=a) for t, a in zip(network.tiers, activities))
+            loaded = replace(network, tiers=tiers)
+            estimates = [(estimate_coverage_system, (network, lu, args.resource_blocks))]
+            points.append(([lu, *activities], [loaded], estimates))
+    elif target == "access_fraction":
+        outside = [i for i in range(1, network.num_tiers + 1) if i not in network.access]
+        if len(outside) != 1:
+            raise ModelValidationError(
+                "access_fraction sweeps need exactly one closed tier in the scenario"
+            )
+        closed_tier = network.tiers[outside[0] - 1]
+        lead = ["f"]
+        analytic = ["analytic_closed", "analytic_open", "gap"]
+        mc = ["mc_closed_mean", "mc_closed_stderr", "mc_open_mean", "mc_open_stderr"]
+        for f in values:
+            if not 0.0 <= f < 1.0:
+                raise ModelValidationError(
+                    f"access fractions must lie in [0, 1), got {f}"
+                )
+            # The scenario's closed tier keeps its density; the open part of
+            # the same class grows with the fraction to keep the closed
+            # density fixed.
+            open_tier = replace(
+                closed_tier, density=closed_tier.density * f / (1.0 - f)
+            )
+            tiers = network.tiers + (open_tier,)
+            variants = [
+                Network(alpha=network.alpha, tiers=tiers, access=network.access | {len(tiers)}),
+                Network(alpha=network.alpha, tiers=tiers, access=None),
             ]
-        if want_mc:
-            sim = SimConfig(
-                trials=args.trials,
-                seed=args.seed,
-                window_radius=args.radius,
-                min_expected_points=args.min_points,
-            )
-            closed_est = estimate_coverage(restricted, sim)
-            open_est = estimate_coverage(unrestricted, sim)
-            row += [closed_est.mean, closed_est.stderr, open_est.mean, open_est.stderr]
-        rows.append(tuple(row))
-    return header, rows
+            points.append(([f], variants, [(estimate_coverage, (n,)) for n in variants]))
+    else:
+        lead = [re.sub(r"[^0-9A-Za-z_]+", "_", target).strip("_")]
+        for value in values:
+            point = _network_with(network, target, value)
+            points.append(([value], [point], [(estimate_coverage, (point,))]))
+    return lead, analytic, mc, points
 
 
-def _sweep_parameter(network, target, values, control, args):
+def _sweep_grid(network, target, values, control, args):
+    """Every sweep target except series_index: all analytic points of the
+    sweep go through the series kernel in one call, then the Monte Carlo
+    engine runs once per estimate.  Also returns the grid values whose
+    series did not converge."""
+    lead, analytic, mc, points = _sweep_points(network, target, values, args)
     want_analytic = args.engine in ("analytic", "both")
     want_mc = args.engine in ("mc", "both")
-    header = [re.sub(r"[^0-9A-Za-z_]+", "_", target).strip("_")]
+    header = lead + (analytic if want_analytic else []) + (mc if want_mc else [])
     if want_analytic:
-        header += ["analytic_value", "analytic_lower", "analytic_upper"]
+        networks = [n for _, variants, _ in points for n in variants]
+        results = iter(_quietly(coverage_batch, networks, control))
     if want_mc:
-        header += ["mc_mean", "mc_stderr"]
-    rows = []
-    for value in values:
-        point = _network_with(network, target, value)
-        row = [value]
+        sim = _sim_config(args)
+    rows, unconverged = [], []
+    for cells, variants, estimates in points:
+        row = list(cells)
         if want_analytic:
-            result = _quiet_coverage(point, control)
-            row += [result.value, result.lower, result.upper]
+            found = [next(results) for _ in variants]
+            if len(found) == 2:
+                closed, opened = found
+                row += [closed.value, opened.value, opened.value - closed.value]
+            else:
+                row += [found[0].value, found[0].lower, found[0].upper]
+            if not all(r.converged for r in found):
+                unconverged.append(cells[0])
         if want_mc:
-            sim = SimConfig(
-                trials=args.trials,
-                seed=args.seed,
-                window_radius=args.radius,
-                min_expected_points=args.min_points,
-            )
-            est = estimate_coverage(point, sim)
-            row += [est.mean, est.stderr]
+            for estimator, inputs in estimates:
+                est = estimator(*inputs, sim)
+                row += [est.mean, est.stderr]
         rows.append(tuple(row))
-    return header, rows
+    return header, rows, unconverged
 
 
 def _cmd_sweep(args) -> int:
@@ -421,13 +391,9 @@ def _cmd_sweep(args) -> int:
     values = _parse_grid(args.sweep_values)
     target = args.sweep_target
     if target == "series_index":
-        header, rows = _sweep_series_index(network, values, control)
-    elif target == "user_density":
-        header, rows = _sweep_user_density(network, values, control, args)
-    elif target == "access_fraction":
-        header, rows = _sweep_access_fraction(network, values, control, args)
+        header, rows, unconverged = _sweep_series_index(network, values, control)
     else:
-        header, rows = _sweep_parameter(network, target, values, control, args)
+        header, rows, unconverged = _sweep_grid(network, target, values, control, args)
     metadata = [
         ("target", target),
         ("engine", args.engine),
@@ -436,6 +402,11 @@ def _cmd_sweep(args) -> int:
         ("epsilon", args.epsilon),
     ]
     _emit(_csv_text(metadata, header, rows), args.out)
+    if unconverged:
+        where = ", ".join(_cell(v) for v in unconverged)
+        print(f"non-convergence: the series did not converge at {target} = {where}",
+              file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 
@@ -479,7 +450,10 @@ def _add_sim_flags(parser, default_trials: int) -> None:
                         help="edge-effect guard for the derived radius")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about as much as an analytic sweep."""
     parser = _Parser(
         prog="hetcov",
         description="Load-aware K-tier coverage: analytic series and Monte Carlo",

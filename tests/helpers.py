@@ -75,3 +75,53 @@ def random_converging_network(rng: random.Random, k: int | None = None) -> Netwo
             )
         )
     return Network(alpha=alpha, tiers=tuple(tiers))
+
+
+def coverage_mpmath(network: Network, digits: int = 40) -> float:
+    """Independent oracle: the coverage series summed term by term in mpmath
+    at the given working precision, from the tier parameters alone.
+
+    Terms are added until the envelope ratio^m / Gamma(1 + 2m/alpha) is
+    falling and below 10^-(digits - 10), so the result is exact to far
+    below double precision whenever the peak term stays under 10^10.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        alpha = mpmath.mpf(network.alpha)
+        delta = 2 / alpha
+        c_alpha = 2 * mpmath.pi**2 / (alpha * mpmath.sin(2 * mpmath.pi / alpha))
+        tiers = [
+            (
+                i in network.access,
+                mpmath.mpf(t.activity),
+                mpmath.mpf(t.density) * mpmath.mpf(t.power) ** delta,
+                mpmath.mpf(t.target_sir),
+            )
+            for i, t in enumerate(network.tiers, start=1)
+        ]
+        access = [(p, w, b) for acc, p, w, b in tiers if acc]
+        eta = c_alpha * mpmath.fsum(p * w for _, p, w, _ in tiers)
+        gamma = mpmath.pi * mpmath.gamma(1 + delta)
+        ratio = gamma * mpmath.fsum((1 - p) * w * b**-delta for p, w, b in access) / eta
+        head = mpmath.pi / eta * mpmath.fsum(p * w * b**-delta for p, w, b in access)
+        total = mpmath.mpf(0)
+        floor = mpmath.mpf(10) ** (10 - digits)
+        prev_env = mpmath.mpf(1)
+        m = 0
+        while ratio > 0:
+            m += 1
+            env = ratio**m * mpmath.rgamma(1 + delta * m)
+            hyper = mpmath.fsum(
+                p * w * b**-delta * (1 + b) ** (-delta * m)
+                * mpmath.hyp2f1(1, delta * m, 1 + (m + 1) * delta, 1 / (1 + b))
+                for p, w, b in access
+            )
+            total += (-ratio) ** m * (
+                mpmath.rgamma(1 + delta * m)
+                - gamma / eta * hyper * mpmath.rgamma(1 + (m + 1) * delta)
+            )
+            if env < prev_env and env < floor:
+                break
+            prev_env = env
+        return float(head - total)

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetcov import (
     AssumptionWarning,
@@ -26,12 +27,20 @@ from hetcov import (
     derived_constants,
     effective_load,
     full_load_coverage,
+    hypergeometric_sum,
     interference_constant,
     laplace_interference,
     tier_addition_effect,
     truncation_terms,
 )
-from helpers import random_converging_network, random_network
+from hetcov.analytic import _hyper_rows, _network_series, coverage_batch
+from helpers import coverage_mpmath, hyp2f1_quadrature, random_converging_network, random_network
+
+# Frozen values also used in test_model and test_specfun: the single-tier
+# hypergeometric sum at alpha = 4, m = 1, unit target and full activity, and
+# 2F1(1, 1/2; 2; 1/2) = 4 - 2 sqrt(2).
+B1_SINGLE_TIER = 0.8284271247461898
+HYP_1_HALF_2_HALF = 1.1715728752538095
 
 
 def single_tier(power=1.0, density=1.0, target_sir=1.0, activity=0.5, alpha=4.0):
@@ -473,3 +482,110 @@ class TestSeriesControl:
             SeriesControl(epsilon=0.0)
         with pytest.raises(ValueError):
             SeriesControl(max_terms=0)
+
+
+class TestSeriesKernel:
+    def test_batch_is_bitwise_single_point_coverage(self):
+        rng = random.Random(31)
+        nets = [random_network(rng, activity_range=(0.3, 1.0), closed=rng.random() < 0.4)
+                for _ in range(30)]
+        nets.append(single_tier(activity=1.0))  # ratio zero: no series at all
+        nets.append(single_tier(target_sir=2.0, activity=0.05))  # unconverged
+        control = SeriesControl(epsilon=1e-10)
+        assert coverage_batch(nets, control) == [coverage(n, control) for n in nets]
+        alternative = coverage_batch(nets, control, eta_over_access=True)
+        assert alternative == [coverage(n, control, eta_over_access=True) for n in nets]
+
+    def test_tier_sum_matches_hypergeometric_sum(self):
+        rng = random.Random(32)
+        m = np.arange(1.0, 41.0)
+        for _ in range(20):
+            net = random_network(rng, closed=rng.random() < 0.4)
+            series = _network_series(net, False)
+            rows = _hyper_rows(
+                np.full(len(series.betas), 2.0 / net.alpha), np.array(series.betas), m
+            )
+            scale = derived_constants(net).interference_scale
+            kernel = scale * (np.array(series.weights) @ rows)
+            for index in (1, 2, 7, 40):
+                assert kernel[index - 1] == pytest.approx(
+                    hypergeometric_sum(net, index), rel=1e-12
+                )
+
+    def test_tier_sum_frozen_and_quadrature_baselines(self):
+        one = np.array([1.0])
+        assert _hyper_rows(np.array([0.5]), one, one)[0, 0] == pytest.approx(
+            B1_SINGLE_TIER, rel=1e-12
+        )
+        assert _hyper_rows(np.array([0.5]), one, one)[0, 0] == pytest.approx(
+            2.0**-0.5 * HYP_1_HALF_2_HALF, rel=1e-12
+        )
+        rng = random.Random(33)
+        for _ in range(30):
+            alpha, beta, index = rng.uniform(2.2, 6.0), rng.uniform(0.3, 9.0), rng.randint(1, 12)
+            delta = 2.0 / alpha
+            b, c = delta * index, 1.0 + (index + 1) * delta
+            expected = (1.0 + beta) ** -b * hyp2f1_quadrature(1.0, b, c, 1.0 / (1.0 + beta))
+            got = _hyper_rows(np.array([delta]), np.array([beta]), np.array([float(index)]))
+            assert got[0, 0] == pytest.approx(expected, rel=1e-8)
+
+    def test_blocks_do_not_change_terms(self):
+        # Term m must not depend on which block or batch computed it.
+        net = single_tier(target_sir=2.0, activity=0.3)
+        trace = correction_trace(net, count=100)
+        for m in (1, 31, 32, 33, 96, 97, 100):
+            assert trace[m - 1].term == correction_term(net, m)
+
+
+@st.composite
+def loaded_networks(draw):
+    k = draw(st.integers(1, 3))
+    tiers = tuple(
+        Tier(
+            power=10.0 ** draw(st.floats(-2.0, 1.0)),
+            density=10.0 ** draw(st.floats(-1.0, 1.0)),
+            target_sir=draw(st.floats(1.2, 6.0)),
+            activity=draw(st.floats(0.3, 1.0)),
+        )
+        for _ in range(k)
+    )
+    access = None
+    if k > 1 and draw(st.booleans()):
+        access = draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1))
+    return Network(alpha=draw(st.floats(2.6, 5.5)), tiers=tiers, access=access)
+
+
+class TestAgainstMpmathOracle:
+    @settings(max_examples=25)
+    @given(loaded_networks())
+    def test_value_within_bracket_of_oracle(self, net):
+        pytest.importorskip("mpmath")
+        result = coverage(net)
+        assert result.converged
+        assert result.lower <= result.value <= result.upper
+        reference = coverage_mpmath(net)
+        assert abs(result.value - reference) <= result.upper - result.lower + 1e-12
+
+
+class TestLowLoad:
+    """At low activity the alternating terms grow far beyond one before they
+    cancel, and double precision cannot hold the sum: the result must say
+    so rather than return a wrong number as converged."""
+
+    def test_rounding_beats_epsilon_reports_non_convergence(self):
+        net = single_tier(target_sir=2.0, activity=0.05)
+        assert not coverage(net).converged
+        assert not coverage_single_tier(1.0, 1.0, 2.0, 0.05, 4.0).converged
+        assert not coverage_equal_targets(net).converged
+        assert not coverage_idle_only(net).converged
+        with pytest.raises(SeriesConvergenceError):
+            truncation_terms(net, 1e-10)
+
+    def test_huge_ratio_neither_overflows_nor_converges(self):
+        net = single_tier(target_sir=2.0, activity=0.02)
+        result = coverage(net)
+        assert not result.converged
+        assert math.isfinite(result.value)
+        with pytest.raises(SeriesConvergenceError):
+            truncation_terms(net, 1e-10)
+        assert all(math.isfinite(t.term) for t in correction_trace(net, count=400))

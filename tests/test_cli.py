@@ -3,10 +3,14 @@ byte-level determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hetcov import cli
+from hetcov import Network, Tier, cli, coverage
 
 
 def write_scenario(path, doc) -> str:
@@ -56,6 +60,21 @@ def split_scenario(tmp_path):
     )
 
 
+@pytest.fixture
+def low_load_scenario(tmp_path):
+    """One tier at activity 0.02: the series terms peak near 1e165."""
+    return write_scenario(
+        tmp_path / "low.json",
+        {
+            "alpha": 4.0,
+            "tiers": [
+                {"power": 1.0, "density": 1.0, "target_sir_db": 10.0 * math.log10(2.0),
+                 "activity": 0.02}
+            ],
+        },
+    )
+
+
 def run_json(capsys, argv):
     code = cli.main(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -92,6 +111,15 @@ class TestCoverageCommand:
         )
         assert code == cli.EXIT_NONCONVERGENCE
         assert report["converged"] is False
+
+    def test_low_load_exits_3_without_traceback(self, capsys, low_load_scenario):
+        code, report = run_json(capsys, ["coverage", "--scenario", low_load_scenario])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert report["converged"] is False
+        code, report = run_json(
+            capsys, ["compare", "--scenario", low_load_scenario, "--trials", "30"]
+        )
+        assert code == cli.EXIT_NONCONVERGENCE
 
     def test_out_file(self, tmp_path, full_load_scenario):
         out = tmp_path / "report.json"
@@ -306,6 +334,35 @@ class TestSweepCommand:
         assert all(g >= -1e-12 for g in gaps)
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
+    def test_batched_rows_equal_single_point_coverage(self, capsys, split_scenario):
+        fractions = [0.0, 0.3, 0.6, 0.9]
+        code, _, _, rows = run_csv(
+            capsys,
+            ["sweep", "--scenario", split_scenario, "--sweep-target", "access_fraction",
+             "--sweep-values", ",".join(map(str, fractions))],
+        )
+        assert code == cli.EXIT_OK
+        macro = Tier(1.0, 1.0, 1.0, 1.0)
+        for f, row in zip(fractions, rows):
+            small = Tier(0.01, 10.0, 1.0, 0.5)
+            tiers = (macro, small, Tier(0.01, 10.0 * f / (1.0 - f), 1.0, 0.5))
+            closed = coverage(Network(alpha=3.8, tiers=tiers, access=[1, 3])).value
+            opened = coverage(Network(alpha=3.8, tiers=tiers)).value
+            assert row[1:] == [repr(closed), repr(opened), repr(opened - closed)]
+
+    def test_low_load_sweep_writes_every_row_and_exits_3(self, capsys, loaded_scenario):
+        code = cli.main(
+            ["sweep", "--scenario", loaded_scenario, "--sweep-target", "user_density",
+             "--sweep-values", "0.5,1,20,100", "--resource-blocks", "50"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NONCONVERGENCE
+        body = [l for l in captured.out.splitlines() if not l.startswith("#")]
+        assert len(body) == 1 + 4
+        assert captured.err.startswith("non-convergence:")
+        assert "user_density = 0.5, 1.0" in captured.err
+        assert "20.0" not in captured.err and "100.0" not in captured.err
+
     def test_access_fraction_needs_one_closed_tier(self, capsys, loaded_scenario):
         code = cli.main(
             [
@@ -388,3 +445,40 @@ class TestRasterCommand:
         assert body[0] == "x,y,bs_id,tier"
         assert len(body) == 12 * 12 + 1
         assert field.read_text().splitlines()[0] == "x,y,tier,active,fading"
+
+
+class TestParserReuse:
+    def test_commands_in_one_process_match_fresh_processes(
+        self, capsys, tmp_path, loaded_scenario, full_load_scenario
+    ):
+        invalid = write_scenario(
+            tmp_path / "invalid.json",
+            {"alpha": 2.0,
+             "tiers": [{"power": 1, "density": 1, "target_sir_db": 0, "activity": 1}]},
+        )
+        commands = [
+            ["coverage", "--scenario", loaded_scenario],
+            ["sweep", "--scenario", loaded_scenario, "--sweep-target", "tier[2].density",
+             "--sweep-values", "0.5,1,2"],
+            ["simulate", "--scenario", loaded_scenario, "--trials", "200", "--seed", "4"],
+            ["coverage", "--scenario", loaded_scenario, "--max-terms", "2"],
+            ["coverage", "--scenario", invalid],
+            ["coverage", "--nonsense"],
+            ["sweep", "--scenario", full_load_scenario, "--sweep-target", "series_index",
+             "--sweep-values", "1,3"],
+            ["coverage", "--scenario", loaded_scenario],
+        ]
+        in_process = []
+        for argv in commands:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert cli._build_parser() is cli._build_parser()
+        assert in_process[0] == in_process[-1]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for argv, expected in zip(commands, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hetcov.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120, check=False,
+            )
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
