@@ -13,6 +13,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -71,6 +72,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
+
+
+def _checked(kind, accept, expected: str):
+    """argparse type: a kind(text) inside the domain, else a usage error."""
+
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            value = kind(text)
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_NON_NEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "a non-negative number")
 
 
 def _load_network(path: str) -> Network:
@@ -204,7 +224,6 @@ def _cmd_coverage(args) -> int:
 def _cmd_simulate(args) -> int:
     network = _load_network(args.scenario)
     sim = _sim_config(args)
-    radius = args.radius or default_window_radius(network, args.min_points)
     if args.load == "system":
         if args.resource_blocks is None or args.user_density is None:
             raise ModelValidationError(
@@ -229,7 +248,7 @@ def _cmd_simulate(args) -> int:
         "stderr": est.stderr,
         "trials": est.trials,
         "seed": args.seed,
-        "window_radius": radius,
+        "window_radius": est.window_radius,
         **extra,
     }
     _emit(_json_report(report), args.out)
@@ -433,20 +452,20 @@ def _cmd_raster(args) -> int:
 
 
 def _add_series_flags(parser) -> None:
-    parser.add_argument("--epsilon", type=float, default=1e-10,
+    parser.add_argument("--epsilon", type=_POSITIVE, default=1e-10,
                         help="series stopping tolerance (default 1e-10)")
-    parser.add_argument("--max-terms", type=int, default=10_000,
+    parser.add_argument("--max-terms", type=_COUNT, default=10_000,
                         help="series term cap (default 10000)")
 
 
 def _add_sim_flags(parser, default_trials: int) -> None:
-    parser.add_argument("--trials", type=int, default=default_trials,
+    parser.add_argument("--trials", type=_COUNT, default=default_trials,
                         help=f"Monte Carlo trials (default {default_trials})")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_SEED, default=0,
                         help="simulation seed (default 0, announced in output)")
-    parser.add_argument("--radius", type=float, default=None,
+    parser.add_argument("--radius", type=_POSITIVE, default=None,
                         help="window radius (default derived from densities)")
-    parser.add_argument("--min-points", type=int, default=500,
+    parser.add_argument("--min-points", type=_COUNT, default=500,
                         help="edge-effect guard for the derived radius")
 
 
@@ -472,9 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--placement", choices=PLACEMENTS, default="ppp")
     sim.add_argument("--load", choices=LOAD_MODES + ("system",),
                      default="conditional-thinning")
-    sim.add_argument("--user-density", type=float, default=None,
+    sim.add_argument("--user-density", type=_NON_NEGATIVE, default=None,
                      help="user density for --load system")
-    sim.add_argument("--resource-blocks", type=int, default=None,
+    sim.add_argument("--resource-blocks", type=_COUNT, default=None,
                      help="resource blocks for --load system")
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)
@@ -490,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="analytic")
     _add_series_flags(swp)
     _add_sim_flags(swp, default_trials=10_000)
-    swp.add_argument("--resource-blocks", type=int, default=None)
+    swp.add_argument("--resource-blocks", type=_COUNT, default=None)
     swp.add_argument("--out", default=None)
     swp.set_defaults(func=_cmd_sweep)
 
@@ -503,12 +522,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ras = sub.add_parser("raster", help="coverage-region raster to CSV")
     ras.add_argument("--scenario", required=True)
-    ras.add_argument("--resolution", type=int, default=200)
+    ras.add_argument("--resolution", type=_COUNT, default=200)
     ras.add_argument("--mode", choices=RASTER_MODES, default="full")
     ras.add_argument("--placement", choices=PLACEMENTS, default="ppp")
-    ras.add_argument("--seed", type=int, default=0)
-    ras.add_argument("--radius", type=float, default=None)
-    ras.add_argument("--min-points", type=int, default=500)
+    ras.add_argument("--seed", type=_SEED, default=0)
+    ras.add_argument("--radius", type=_POSITIVE, default=None)
+    ras.add_argument("--min-points", type=_COUNT, default=500)
     ras.add_argument("--dump-realization", default=None,
                      help="also write the sampled field as CSV")
     ras.add_argument("--out", default=None)

@@ -77,11 +77,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo mean with its binomial standard error."""
+    """Monte Carlo mean with its binomial standard error and the radius of
+    the window the trials were sampled on."""
 
     mean: float
     stderr: float
     trials: int
+    window_radius: float
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,7 @@ class SystemEstimate:
     tier_user_fraction: tuple[float, ...]
     tier_user_fraction_stderr: tuple[float, ...]
     tier_mean_activity: tuple[float, ...]
+    window_radius: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +133,25 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _binomial_estimate(successes: int, trials: int) -> Estimate:
+def _binomial_estimate(successes: int, trials: int, radius: float) -> Estimate:
     mean = successes / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    return Estimate(mean=mean, stderr=stderr, trials=trials)
+    return Estimate(mean=mean, stderr=stderr, trials=trials, window_radius=radius)
+
+
+def _disc_radius(densities, min_points: int) -> float:
+    """Disc radius placing max(500, min_points) expected points of the
+    sparsest positive density inside the window."""
+    sparsest = min(d for d in densities if d > 0.0)
+    return math.sqrt(max(500, min_points) / (math.pi * sparsest))
 
 
 def default_window_radius(network: Network, min_expected_points: int = 500) -> float:
     """Disc radius placing max(500, min_expected_points) expected stations of
     the sparsest actively transmitting tier inside the window."""
-    active = [
-        t.activity * t.density
-        for t in network.tiers
-        if t.activity > 0.0 and t.density > 0.0
-    ]
-    floor = max(500, min_expected_points)
-    return math.sqrt(floor / (math.pi * min(active)))
+    return _disc_radius(
+        [t.activity * t.density for t in network.tiers], min_expected_points
+    )
 
 
 def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -192,6 +198,25 @@ def sample_hex_grid(
     return np.column_stack((cos_a * x - sin_a * y, sin_a * x + cos_a * y))
 
 
+def _sample_field(
+    network: Network, radius: float, rng: np.random.Generator, placement: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One base-station field on the disc: (positions, 0-based tier index,
+    fading, activity uniforms), drawn tier by tier."""
+    positions, tiers, fading, uniforms = [], [], [], []
+    for index, tier in enumerate(network.tiers):
+        if placement == "hex-first-tier" and index == 0:
+            pts = sample_hex_grid(tier.density, radius, rng)
+        else:
+            pts = sample_ppp(tier.density, radius, rng)
+        n = len(pts)
+        positions.append(pts)
+        tiers.append(np.full(n, index, dtype=np.int64))
+        fading.append(rng.standard_exponential(n))
+        uniforms.append(rng.random(n))
+    return tuple(np.concatenate(part) for part in (positions, tiers, fading, uniforms))
+
+
 def draw_realization(
     network: Network,
     radius: float,
@@ -206,29 +231,21 @@ def draw_realization(
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    positions, tiers, active, fading, powers = [], [], [], [], []
-    for index, tier in enumerate(network.tiers, start=1):
-        if placement == "hex-first-tier" and index == 1:
-            pts = sample_hex_grid(tier.density, radius, rng)
-        else:
-            pts = sample_ppp(tier.density, radius, rng)
-        n = len(pts)
-        positions.append(pts)
-        tiers.append(np.full(n, index, dtype=np.int64))
-        fading.append(rng.standard_exponential(n))
-        active.append(rng.random(n) < tier.activity)
-        powers.append(np.full(n, tier.power))
+    positions, tier, fading, uniforms = _sample_field(network, radius, rng, placement)
+    activity = np.array([t.activity for t in network.tiers])
+    power = np.array([t.power for t in network.tiers])
     return Realization(
-        positions=np.concatenate(positions),
-        tiers=np.concatenate(tiers),
-        active=np.concatenate(active),
-        fading=np.concatenate(fading),
-        powers=np.concatenate(powers),
+        positions=positions,
+        tiers=tier + 1,
+        active=uniforms < activity[tier],
+        fading=fading,
+        powers=power[tier],
         radius=radius,
         alpha=network.alpha,
     )
 
 
+# Kept apart from _sample_field: the Monte Carlo hot path never forms positions.
 def _draw_radial_trial(
     network: Network,
     radius: float,
@@ -256,12 +273,69 @@ def _draw_radial_trial(
         tier_parts.append(np.full(n, index, dtype=np.int8))
         fade_parts.append(rng.standard_exponential(n))
         act_parts.append(rng.random(n) < tier.activity)
-    return (
-        np.concatenate(r2_parts),
-        np.concatenate(tier_parts),
-        np.concatenate(fade_parts),
-        np.concatenate(act_parts),
+    parts = (r2_parts, tier_parts, fade_parts, act_parts)
+    return tuple(np.concatenate(part) for part in parts)
+
+
+def _count_covered(
+    network: Network, sim: SimConfig, radius: float, draw_trial, load: str
+) -> int:
+    """Number of trials whose centre user is covered.
+
+    draw_trial(rng) returns one trial's (squared radii, 0-based tier index,
+    fading, active) on the disc of the given radius.  Trials are reduced in
+    batches of about _POINT_BUDGET flat points with bincounts keyed by
+    trial.  The user is covered when any candidate of the load rule (see
+    estimate_coverage) clears its tier target.  Warns when more than 0.1%
+    of the trials hold no candidate station.
+    """
+    neg_half_alpha = -network.alpha / 2.0
+    power = np.array([t.power for t in network.tiers])
+    beta = np.array([t.target_sir for t in network.tiers])
+    delta = beta / (1.0 + beta)
+    accessible = np.array(
+        [i in network.access for i in range(1, network.num_tiers + 1)]
     )
+
+    mean_points = sum(t.density for t in network.tiers) * math.pi * radius**2
+    chunk = max(1, int(_POINT_BUDGET / max(1.0, mean_points)))
+    covered = 0
+    empty_trials = 0
+    for start in range(0, sim.trials, chunk):
+        stop = min(start + chunk, sim.trials)
+        batch = stop - start
+        drawn = [draw_trial(_trial_rng(sim.seed, t)) for t in range(start, stop)]
+        r2, tier_idx, fade, act = (np.concatenate(part) for part in zip(*drawn))
+        trial_idx = np.repeat(np.arange(batch), [len(trial[0]) for trial in drawn])
+
+        signal = power[tier_idx] * fade * r2**neg_half_alpha
+        interference = np.bincount(
+            trial_idx, weights=np.where(act, signal, 0.0), minlength=batch
+        )
+        per_point_interference = interference[trial_idx]
+        in_access = accessible[tier_idx]
+        if load == "conditional-thinning":
+            candidate = in_access
+            threshold = np.where(act, delta[tier_idx], beta[tier_idx])
+        elif load == "fully-loaded":
+            candidate = in_access & act
+            threshold = delta[tier_idx]
+        else:  # idle-only
+            candidate = in_access & ~act
+            threshold = beta[tier_idx]
+        hits = candidate & (signal >= threshold * per_point_interference)
+        hit_counts = np.bincount(trial_idx[hits], minlength=batch)
+        covered += int(np.count_nonzero(hit_counts))
+        candidate_counts = np.bincount(trial_idx[candidate], minlength=batch)
+        empty_trials += int(np.count_nonzero(candidate_counts == 0))
+
+    if empty_trials > 0.001 * sim.trials:
+        warnings.warn(
+            f"{empty_trials} of {sim.trials} trials had no candidate station "
+            "in the window; enlarge the window or densities",
+            stacklevel=3,
+        )
+    return covered
 
 
 def estimate_coverage(
@@ -291,68 +365,12 @@ def estimate_coverage(
     radius = sim.window_radius or default_window_radius(
         network, sim.min_expected_points
     )
-    neg_half_alpha = -network.alpha / 2.0
-    power = np.array([t.power for t in network.tiers])
-    beta = np.array([t.target_sir for t in network.tiers])
-    delta = beta / (1.0 + beta)
-    accessible = np.array(
-        [i in network.access for i in range(1, network.num_tiers + 1)]
-    )
 
-    mean_points = max(
-        1.0, sum(t.density for t in network.tiers) * math.pi * radius**2
-    )
-    chunk = max(1, int(_POINT_BUDGET / mean_points))
-    covered = 0
-    empty_trials = 0
-    for start in range(0, sim.trials, chunk):
-        stop = min(start + chunk, sim.trials)
-        batch = stop - start
-        r2_list, tier_list, fade_list, act_list, trial_list = [], [], [], [], []
-        for t in range(start, stop):
-            rng = _trial_rng(sim.seed, t)
-            r2, tier_idx, fade, act = _draw_radial_trial(
-                network, radius, rng, placement
-            )
-            r2_list.append(r2)
-            tier_list.append(tier_idx)
-            fade_list.append(fade)
-            act_list.append(act)
-            trial_list.append(np.full(len(r2), t - start, dtype=np.int64))
-        r2 = np.concatenate(r2_list)
-        tier_idx = np.concatenate(tier_list)
-        fade = np.concatenate(fade_list)
-        act = np.concatenate(act_list)
-        trial_idx = np.concatenate(trial_list)
+    def draw_trial(rng):
+        return _draw_radial_trial(network, radius, rng, placement)
 
-        signal = power[tier_idx] * fade * r2**neg_half_alpha
-        interference = np.bincount(
-            trial_idx, weights=np.where(act, signal, 0.0), minlength=batch
-        )
-        per_point_interference = interference[trial_idx]
-        in_access = accessible[tier_idx]
-        if load == "conditional-thinning":
-            candidate = in_access
-            threshold = np.where(act, delta[tier_idx], beta[tier_idx])
-        elif load == "fully-loaded":
-            candidate = in_access & act
-            threshold = delta[tier_idx]
-        else:  # idle-only
-            candidate = in_access & ~act
-            threshold = beta[tier_idx]
-        hits = candidate & (signal >= threshold * per_point_interference)
-        hit_counts = np.bincount(trial_idx[hits], minlength=batch)
-        covered += int(np.count_nonzero(hit_counts))
-        candidate_counts = np.bincount(trial_idx[candidate], minlength=batch)
-        empty_trials += int(np.count_nonzero(candidate_counts == 0))
-
-    if empty_trials > 0.001 * sim.trials:
-        warnings.warn(
-            f"{empty_trials} of {sim.trials} trials had no candidate station "
-            "in the window; enlarge the window or densities",
-            stacklevel=2,
-        )
-    return _binomial_estimate(covered, sim.trials)
+    covered = _count_covered(network, sim, radius, draw_trial, load)
+    return _binomial_estimate(covered, sim.trials, radius)
 
 
 def estimate_coverage_system(
@@ -367,106 +385,70 @@ def estimate_coverage_system(
     strongest fading-averaged power.  A station serving n users is active in
     the evaluated resource block with probability min(n / resource_blocks,
     1).  The typical user at the centre is then tested exactly as in
-    estimate_coverage, with per-station activity probabilities.
+    estimate_coverage, with per-station activity probabilities.  Activity
+    factors are an outcome here, not an input, so the default window is
+    sized from the raw station densities.
     """
     if user_density < 0.0:
         raise ValueError(f"user_density must be non-negative, got {user_density}")
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
-    if sim.window_radius is not None:
-        radius = sim.window_radius
-    else:
-        # Activity factors are an outcome here, not an input, so the default
-        # window is sized from the raw station densities instead.
-        densities = [t.density for t in network.tiers if t.density > 0.0]
-        floor = max(500, sim.min_expected_points)
-        radius = math.sqrt(floor / (math.pi * min(densities)))
-
-    alpha = network.alpha
+    radius = sim.window_radius or _disc_radius(
+        [t.density for t in network.tiers], sim.min_expected_points
+    )
     K = network.num_tiers
     power = np.array([t.power for t in network.tiers])
-    beta = np.array([t.target_sir for t in network.tiers])
-    delta = beta / (1.0 + beta)
-    accessible = np.array([i in network.access for i in range(1, K + 1)])
-    area = math.pi * radius**2
     inner_sq = (radius / 2.0) ** 2
 
-    covered = 0
     fractions: list[np.ndarray] = []
     activity_sums = np.zeros(K)
     activity_counts = np.zeros(K, dtype=np.int64)
-    for t in range(sim.trials):
-        rng = _trial_rng(sim.seed, t)
-        tier_pts = []
-        fade_parts, uniform_parts = [], []
-        for tier in network.tiers:
-            n = rng.poisson(tier.density * area)
-            r = radius * np.sqrt(rng.random(n))
-            theta = 2.0 * math.pi * rng.random(n)
-            tier_pts.append(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
-            fade_parts.append(rng.standard_exponential(n))
-            uniform_parts.append(rng.random(n))
-        n_users = rng.poisson(user_density * area)
-        ur = radius * np.sqrt(rng.random(n_users))
-        utheta = 2.0 * math.pi * rng.random(n_users)
-        users = np.column_stack((ur * np.cos(utheta), ur * np.sin(utheta)))
 
-        counts_per_tier = np.array([len(p) for p in tier_pts])
+    def draw_trial(rng):
+        positions, tier_idx, fade, uniforms = _sample_field(network, radius, rng, "ppp")
+        users = sample_ppp(user_density, radius, rng)
+        counts_per_tier = np.bincount(tier_idx, minlength=K)
         offsets = np.concatenate(([0], np.cumsum(counts_per_tier)))
-        n_bs = int(offsets[-1])
-        if n_bs == 0:
-            continue  # empty window: nobody serves, count as not covered
-
-        # Strongest average power association, tier by tier via the nearest
-        # station of each tier (within a tier the nearest is the strongest).
-        if n_users:
+        n_bs, n_users = len(tier_idx), len(users)
+        # Without stations nobody is served and the trial counts as not
+        # covered; without users every station stays idle.
+        served = np.zeros(n_bs, dtype=np.int64)
+        if n_bs and n_users:
+            # Strongest average power association, tier by tier via the
+            # nearest station of each tier (within a tier the nearest is the
+            # strongest).
             tier_power = np.full((K, n_users), -np.inf)
             tier_nearest = np.zeros((K, n_users), dtype=np.int64)
-            for i, pts in enumerate(tier_pts):
+            for i in range(K):
+                pts = positions[offsets[i]:offsets[i + 1]]
                 if not len(pts):
                     continue
                 dist, nearest = cKDTree(pts).query(users)
                 with np.errstate(divide="ignore"):
-                    tier_power[i] = power[i] * dist**-alpha
+                    tier_power[i] = power[i] * dist**-network.alpha
                 tier_nearest[i] = nearest
             best_tier = np.argmax(tier_power, axis=0)
             chosen = offsets[best_tier] + tier_nearest[best_tier, np.arange(n_users)]
             served = np.bincount(chosen, minlength=n_bs)
-        else:
-            served = np.zeros(n_bs, dtype=np.int64)
-
-        activity = np.minimum(served / resource_blocks, 1.0)
-        uniforms = np.concatenate(uniform_parts)
-        active = uniforms < activity
-
-        positions = np.concatenate(tier_pts)
-        fade = np.concatenate(fade_parts)
-        tier_idx = np.repeat(np.arange(K), counts_per_tier)
-        r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-        signal = power[tier_idx] * fade * r2 ** (-alpha / 2.0)
-        interference = float(np.sum(signal[active]))
-        threshold = np.where(active, delta[tier_idx], beta[tier_idx]) * interference
-        if bool(np.any(accessible[tier_idx] & (signal >= threshold))):
-            covered += 1
-
-        for i in range(K):
-            tier_activity = activity[offsets[i]:offsets[i + 1]]
-            activity_sums[i] += float(np.sum(tier_activity))
-            activity_counts[i] += len(tier_activity)
-        if n_users:
-            inner = ur * ur <= inner_sq
+            inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
             n_inner = int(np.count_nonzero(inner))
             if n_inner:
-                per_tier = np.bincount(best_tier[inner], minlength=K)
-                fractions.append(per_tier / n_inner)
+                fractions.append(np.bincount(best_tier[inner], minlength=K) / n_inner)
 
-    estimate = _binomial_estimate(covered, sim.trials)
-    if fractions:
+        activity = np.minimum(served / resource_blocks, 1.0)
+        for i in range(K):
+            activity_sums[i] += float(np.sum(activity[offsets[i]:offsets[i + 1]]))
+        activity_counts[:] += counts_per_tier
+        r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
+        return r2, tier_idx, fade, uniforms < activity
+
+    covered = _count_covered(network, sim, radius, draw_trial, "conditional-thinning")
+    if len(fractions) > 1:
         stacked = np.vstack(fractions)
         frac_mean = stacked.mean(axis=0)
-        frac_err = stacked.std(axis=0, ddof=1) / math.sqrt(len(stacked)) if len(stacked) > 1 else np.zeros(K)
+        frac_err = stacked.std(axis=0, ddof=1) / math.sqrt(len(stacked))
     else:
-        frac_mean = np.zeros(K)
+        frac_mean = fractions[0] if fractions else np.zeros(K)
         frac_err = np.zeros(K)
     mean_activity = np.divide(
         activity_sums,
@@ -475,13 +457,16 @@ def estimate_coverage_system(
         where=activity_counts > 0,
     )
     return SystemEstimate(
-        mean=estimate.mean,
-        stderr=estimate.stderr,
-        trials=estimate.trials,
+        **vars(_binomial_estimate(covered, sim.trials, radius)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),
     )
+
+
+def _pixel_centers(radius: float, resolution: int) -> np.ndarray:
+    """Centre coordinates of the pixels along one side of the square window."""
+    return -radius + (np.arange(resolution) + 0.5) * (2.0 * radius / resolution)
 
 
 def coverage_region_raster(
@@ -503,10 +488,7 @@ def coverage_region_raster(
     n = len(realization)
     if n == 0:
         raise ValueError("realization holds no stations")
-    radius = realization.radius
-    centers = -radius + (np.arange(grid_resolution) + 0.5) * (
-        2.0 * radius / grid_resolution
-    )
+    centers = _pixel_centers(realization.radius, grid_resolution)
     active = realization.active
     if mode == "thinned-biased":
         subset = np.flatnonzero(active)
@@ -547,15 +529,10 @@ def realization_to_csv(realization: Realization, file) -> None:
 
 def raster_to_csv(realization: Realization, grid: np.ndarray, file) -> None:
     """Write a raster as CSV rows "x,y,bs_id,tier"; blank pixels carry -1."""
-    resolution = grid.shape[0]
-    radius = realization.radius
-    centers = [
-        float(-radius + (k + 0.5) * (2.0 * radius / resolution))
-        for k in range(resolution)
-    ]
+    centers = _pixel_centers(realization.radius, grid.shape[0]).tolist()
     file.write("x,y,bs_id,tier\n")
-    for iy in range(resolution):
-        for ix in range(resolution):
+    for iy, y in enumerate(centers):
+        for ix, x in enumerate(centers):
             bs = int(grid[iy, ix])
             tier = int(realization.tiers[bs]) if bs >= 0 else -1
-            file.write(f"{centers[ix]!r},{centers[iy]!r},{bs},{tier}\n")
+            file.write(f"{x!r},{y!r},{bs},{tier}\n")

@@ -183,6 +183,35 @@ class TestErrorPaths:
         assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "0"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--radius", "0"],
+        ["simulate", "--radius", "-2.5"],
+        ["simulate", "--min-points", "0"],
+        ["simulate", "--load", "system", "--user-density", "-1", "--resource-blocks", "5"],
+        ["simulate", "--load", "system", "--user-density", "1", "--resource-blocks", "0"],
+        ["compare", "--trials", "0"],
+        ["coverage", "--epsilon", "0"],
+        ["coverage", "--max-terms", "0"],
+        ["raster", "--resolution", "0"],
+        ["raster", "--radius", "-1"],
+        ["raster", "--radius", "0"],
+        ["raster", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_domain_flags_are_usage_errors(capsys, loaded_scenario, argv):
+    code = cli.main([argv[0], "--scenario", loaded_scenario, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument ")
+    assert captured.err.count("\n") == 1
+
+
 class TestSimulateCommand:
     def test_report_fields_and_determinism(self, capsys, loaded_scenario):
         argv = [
@@ -230,6 +259,23 @@ class TestSimulateCommand:
         assert code == cli.EXIT_OK
         assert len(report["tier_user_fraction"]) == 2
         assert len(report["tier_mean_activity"]) == 2
+        assert report["window_radius"] == 6.0
+
+    def test_system_load_reports_the_window_it_ran_with(self, capsys, tmp_path):
+        # the system window holds 500 stations of the sparsest raw density;
+        # the activity-weighted rule of the other loads would give 28.2
+        tier = {"power": 1.0, "density": 1.0, "target_sir_db": 3.0}
+        scenario = write_scenario(
+            tmp_path / "system.json",
+            {"alpha": 3.8, "tiers": [{**tier, "activity": 0.5}, {**tier, "activity": 0.2}]},
+        )
+        code, report = run_json(
+            capsys,
+            ["simulate", "--scenario", scenario, "--load", "system", "--user-density", "1",
+             "--resource-blocks", "5", "--trials", "3"],
+        )
+        assert code == cli.EXIT_OK
+        assert report["window_radius"] == pytest.approx(math.sqrt(500.0 / math.pi), rel=1e-15)
 
 
 class TestSweepCommand:

@@ -11,6 +11,7 @@ from scipy import stats
 from scipy.spatial import cKDTree
 
 import hetcov as hc
+from hetcov import mcsim
 from hetcov.mcsim import _trial_rng
 
 
@@ -213,6 +214,21 @@ class TestEstimateCoverage:
         ct = hc.estimate_coverage(net, sim, load="conditional-thinning")
         assert 0.0 < idle.mean < ct.mean
 
+    @pytest.mark.parametrize("load", ["conditional-thinning", "fully-loaded", "idle-only"])
+    def test_batching_changes_nothing(self, monkeypatch, load):
+        net = two_tier(p1=0.5, p2=0.3)
+        sim = hc.SimConfig(trials=60, seed=31, window_radius=5.0)
+        batched = hc.estimate_coverage(net, sim, load=load)
+        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one trial per batch
+        assert hc.estimate_coverage(net, sim, load=load) == batched
+
+    def test_reports_the_window_it_sampled(self):
+        net = two_tier()
+        est = hc.estimate_coverage(net, hc.SimConfig(trials=5, seed=0))
+        assert est.window_radius == hc.default_window_radius(net)
+        est = hc.estimate_coverage(net, hc.SimConfig(trials=5, seed=0, window_radius=3.5))
+        assert est.window_radius == 3.5
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             hc.estimate_coverage(single_tier(), hc.SimConfig(trials=10, seed=0), load="nope")
@@ -263,6 +279,39 @@ class TestEstimateCoverageSystem:
             _warnings.simplefilter("ignore", hc.AssumptionWarning)
             analytic = hc.coverage(loaded).value
         assert abs(est.mean - analytic) < 0.05
+
+    def test_batching_changes_nothing(self, monkeypatch):
+        sim = hc.SimConfig(trials=40, seed=32, window_radius=5.0)
+        batched = hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim)
+        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one trial per batch
+        assert hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim) == batched
+
+    def test_empty_windows_count_as_uncovered(self):
+        # 2 stations per unit area on a disc of radius 0.15: about 87 % of
+        # the trials hold no station at all
+        sim = hc.SimConfig(trials=400, seed=33, window_radius=0.15)
+        with pytest.warns(UserWarning, match="no candidate") as caught:
+            idle = hc.estimate_coverage_system(self.fig5(), 0.0, 20, sim)
+        empty = int(str(caught[0].message).split()[0])
+        assert empty > 300
+        # without users every station is idle and covers the centre, so
+        # exactly the empty trials fail
+        assert idle.mean == (sim.trials - empty) / sim.trials
+        with pytest.warns(UserWarning, match="no candidate"):
+            loaded = hc.estimate_coverage_system(self.fig5(), 50.0, 2, sim)
+        assert loaded.mean <= idle.mean
+
+    def test_default_window_sizes_off_the_raw_densities(self):
+        # activities are an outcome of the simulation, so the window holds
+        # 500 expected stations of the sparsest tier whatever the activities
+        net = self.fig5()
+        est = hc.estimate_coverage_system(net, 1.0, 20, hc.SimConfig(trials=2, seed=0))
+        assert 1.0 * math.pi * est.window_radius**2 == pytest.approx(500.0, rel=1e-12)
+        assert est.window_radius < hc.default_window_radius(net)
+        est = hc.estimate_coverage_system(
+            net, 1.0, 20, hc.SimConfig(trials=2, seed=0, window_radius=4.0)
+        )
+        assert est.window_radius == 4.0
 
     def test_domains(self):
         sim = hc.SimConfig(trials=10, seed=0, window_radius=5.0)
@@ -332,6 +381,15 @@ class TestCoverageRegionRaster:
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "x,y,bs_id,tier"
         assert len(lines) == 8 * 8 + 1
+
+    def test_csv_coordinates_are_the_raster_pixel_centres(self):
+        real = make_realization([[1.0, -2.0]], [True], radius=3.7)
+        grid = hc.coverage_region_raster(real, 7, "full")
+        buffer = io.StringIO()
+        hc.raster_to_csv(real, grid, buffer)
+        centres = [-3.7 + (k + 0.5) * (2.0 * 3.7 / 7) for k in range(7)]
+        want = [f"{x!r},{y!r},0,1" for y in centres for x in centres]
+        assert buffer.getvalue().splitlines()[1:] == want
 
     def test_validation(self):
         real = make_realization([[0.0, 0.0]], [True])
