@@ -36,6 +36,7 @@ from .model import (
     Tier,
     derived_constants,
     effective_load,
+    validation_warnings,
 )
 
 # The series no longer calls these two, but they stay importable here: the
@@ -78,14 +79,10 @@ _FIRST_BLOCK = 32
 
 
 def _warn_low_targets(network: Network) -> None:
-    low = [i for i, t in enumerate(network.tiers, start=1) if t.target_sir <= 1.0]
-    if low:
-        warnings.warn(
-            f"tiers {low} have target SIR at or below 0 dB; the series result "
-            "is exact only above 0 dB and is returned unclamped",
-            AssumptionWarning,
-            stacklevel=3,
-        )
+    flags = validation_warnings(network)
+    if flags:
+        message = "; ".join(flags) + "; the value is returned unclamped"
+        warnings.warn(message, AssumptionWarning, stacklevel=3)
 
 
 def laplace_interference(network: Network, s: float) -> float:

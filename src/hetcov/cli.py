@@ -1,10 +1,10 @@
 """Scenario runner for coverage computations, sweeps and simulations.
 
 Loads a network from a scenario JSON file, evaluates the analytic series
-and/or the Monte Carlo estimators, and emits figure-ready CSV or JSON.  All
-dB-to-linear conversion happens here at the I/O boundary; internal math is
-linear throughout.  Outputs are pure functions of (scenario bytes, flags,
-seed) and byte-identical across reruns.
+and/or the Monte Carlo estimators, and emits figure-ready CSV or JSON.  dB
+inputs, in scenarios and sweep targets, become linear through one model
+helper at the I/O boundary; internal math is linear throughout.  Outputs are
+pure functions of (scenario bytes, flags, seed) and byte-identical across reruns.
 
 Exit codes: 0 success, 1 usage, 2 scenario/validation error, 3 series
 non-convergence.
@@ -51,6 +51,7 @@ from .model import (
     ModelValidationError,
     Network,
     SeriesControl,
+    _db_to_linear,
     activity_from_user_density,
     network_from_dict,
     validation_warnings,
@@ -183,21 +184,17 @@ def _network_with(network: Network, target: str, value: float) -> Network:
                 f"sweep target {target!r} addresses tier {index} of a "
                 f"{network.num_tiers}-tier scenario"
             )
-        tier = network.tiers[index - 1]
-        if field == "target_sir_db":
-            tier = replace(tier, target_sir=10.0 ** (value / 10.0))
-        else:
-            tier = replace(tier, **{field: value})
-        tiers = list(network.tiers)
-        tiers[index - 1] = tier
-        return replace(network, tiers=tuple(tiers))
-    if target == "target_sir_db":
-        linear = 10.0 ** (value / 10.0)
-        return replace(
-            network,
-            tiers=tuple(replace(t, target_sir=linear) for t in network.tiers),
-        )
-    raise ModelValidationError(f"unknown sweep target {target!r}")
+        indices = [index - 1]
+    elif target == "target_sir_db":
+        field, indices = target, range(network.num_tiers)
+    else:
+        raise ModelValidationError(f"unknown sweep target {target!r}")
+    if field == "target_sir_db":
+        field, value = "target_sir", _db_to_linear(value)
+    tiers = list(network.tiers)
+    for i in indices:
+        tiers[i] = replace(tiers[i], **{field: value})
+    return replace(network, tiers=tuple(tiers))
 
 
 def _cmd_coverage(args) -> int:
@@ -229,6 +226,8 @@ def _cmd_simulate(args) -> int:
             raise ModelValidationError(
                 "system load simulation needs --user-density and --resource-blocks"
             )
+        if args.placement != "ppp":
+            raise ModelValidationError("system load simulation needs --placement ppp")
         est = estimate_coverage_system(
             network, args.user_density, args.resource_blocks, sim
         )

@@ -40,7 +40,7 @@ PLACEMENTS = ("ppp", "hex-first-tier")
 LOAD_MODES = ("conditional-thinning", "fully-loaded", "idle-only")
 RASTER_MODES = ("full", "thinned-regions", "thinned-biased")
 
-_POINT_BUDGET = 2_000_000  # flat points per vectorised batch
+_POINT_BUDGET = 2_000_000  # flat points per batch of trials in _count_covered
 _UINT64_MASK = (1 << 64) - 1
 
 
@@ -292,7 +292,7 @@ def _count_covered(
     neg_half_alpha = -network.alpha / 2.0
     power = np.array([t.power for t in network.tiers])
     beta = np.array([t.target_sir for t in network.tiers])
-    delta = beta / (1.0 + beta)
+    delta = np.array([t.delta for t in network.tiers])
     accessible = np.array(
         [i in network.access for i in range(1, network.num_tiers + 1)]
     )
@@ -397,7 +397,7 @@ def estimate_coverage_system(
         [t.density for t in network.tiers], sim.min_expected_points
     )
     K = network.num_tiers
-    power = np.array([t.power for t in network.tiers])
+    rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2
 
     fractions: list[np.ndarray] = []
@@ -414,21 +414,8 @@ def estimate_coverage_system(
         # covered; without users every station stays idle.
         served = np.zeros(n_bs, dtype=np.int64)
         if n_bs and n_users:
-            # Strongest average power association, tier by tier via the
-            # nearest station of each tier (within a tier the nearest is the
-            # strongest).
-            tier_power = np.full((K, n_users), -np.inf)
-            tier_nearest = np.zeros((K, n_users), dtype=np.int64)
-            for i in range(K):
-                pts = positions[offsets[i]:offsets[i + 1]]
-                if not len(pts):
-                    continue
-                dist, nearest = cKDTree(pts).query(users)
-                with np.errstate(divide="ignore"):
-                    tier_power[i] = power[i] * dist**-network.alpha
-                tier_nearest[i] = nearest
-            best_tier = np.argmax(tier_power, axis=0)
-            chosen = offsets[best_tier] + tier_nearest[best_tier, np.arange(n_users)]
+            chosen = _serving_station(users, positions, rank[tier_idx])
+            best_tier = tier_idx[chosen]
             served = np.bincount(chosen, minlength=n_bs)
             inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
             n_inner = int(np.count_nonzero(inner))
@@ -464,6 +451,26 @@ def estimate_coverage_system(
     )
 
 
+def _serving_station(points, positions, rank) -> np.ndarray:
+    """Station of strongest fading-averaged power at each point, -1 if none.
+
+    rank is power^(2/alpha), so rank / d^2 orders stations as P d^(-alpha)
+    does.  Within one rank the nearest station is the strongest, so each
+    distinct rank takes one nearest-station query; ties go to the lower rank.
+    """
+    best = np.full(len(points), -1, dtype=np.int64)
+    best_score = np.full(len(points), -np.inf)
+    for weight in np.unique(rank):
+        members = np.flatnonzero(rank == weight)
+        d, nearest = cKDTree(positions[members]).query(points)
+        with np.errstate(divide="ignore"):
+            score = weight / d**2
+        better = score > best_score
+        best[better] = members[nearest[better]]
+        best_score[better] = score[better]
+    return best
+
+
 def _pixel_centers(radius: float, resolution: int) -> np.ndarray:
     """Centre coordinates of the pixels along one side of the square window."""
     return -radius + (np.arange(resolution) + 0.5) * (2.0 * radius / resolution)
@@ -496,20 +503,11 @@ def coverage_region_raster(
             return np.full((grid_resolution, grid_resolution), -1, dtype=np.int64)
     else:
         subset = np.arange(n)
-    pos = realization.positions[subset]
-    # P * d^(-alpha) ranks stations identically to P^(2/alpha) / d^2, which
-    # avoids a fractional power per pixel-station pair.
-    rank_power = realization.powers[subset] ** (2.0 / realization.alpha)
-    grid = np.empty((grid_resolution, grid_resolution), dtype=np.int64)
-    row_budget = max(1, _POINT_BUDGET // (max(1, len(subset)) * grid_resolution))
-    for start in range(0, grid_resolution, row_budget):
-        stop = min(start + row_budget, grid_resolution)
-        dx = centers[None, :, None] - pos[None, None, :, 0]
-        dy = centers[start:stop, None, None] - pos[None, None, :, 1]
-        d2 = dx * dx + dy * dy
-        with np.errstate(divide="ignore"):
-            rank = rank_power[None, None, :] / d2
-        grid[start:stop] = subset[np.argmax(rank, axis=2)]
+    x, y = np.meshgrid(centers, centers)
+    pixels = np.column_stack((x.ravel(), y.ravel()))
+    rank = realization.powers[subset] ** (2.0 / realization.alpha)
+    serving = _serving_station(pixels, realization.positions[subset], rank)
+    grid = subset[serving].reshape(grid_resolution, grid_resolution)
     if mode == "thinned-regions":
         grid = np.where(active[grid], grid, -1)
     return grid

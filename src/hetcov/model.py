@@ -389,11 +389,15 @@ def network_to_dict(network: Network) -> dict:
     }
 
 
+def _db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
 def network_from_dict(doc: dict) -> Network:
     """Build a validated Network from a scenario document.
 
-    The document stores target SIRs in dB; they are converted to linear here
-    and nowhere else, so all internal math stays linear.
+    The document stores target SIRs in dB; _db_to_linear, which the CLI's dB
+    sweep targets share, converts them, so all internal math stays linear.
     """
     if not isinstance(doc, dict):
         raise ModelValidationError(f"scenario must be a JSON object, got {type(doc).__name__}")
@@ -411,7 +415,7 @@ def network_from_dict(doc: dict) -> Network:
                 Tier(
                     power=float(entry["power"]),
                     density=float(entry["density"]),
-                    target_sir=10.0 ** (float(entry["target_sir_db"]) / 10.0),
+                    target_sir=_db_to_linear(float(entry["target_sir_db"])),
                     activity=float(entry["activity"]),
                 )
             )

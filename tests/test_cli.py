@@ -232,10 +232,18 @@ class TestSimulateCommand:
         assert first == second
 
     def test_system_load_needs_both_flags(self, capsys, loaded_scenario):
-        code = cli.main(
-            ["simulate", "--scenario", loaded_scenario, "--load", "system"]
-        )
-        assert code == cli.EXIT_VALIDATION
+        system = ["simulate", "--scenario", loaded_scenario, "--load", "system"]
+        for extra in (
+            [],
+            # the system simulation samples Poisson fields only
+            ["--user-density", "5", "--resource-blocks", "10",
+             "--placement", "hex-first-tier"],
+        ):
+            code = cli.main(system + extra)
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_VALIDATION
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
 
     def test_system_load_reports_diagnostics(self, capsys, loaded_scenario):
         code, report = run_json(

@@ -334,7 +334,75 @@ def make_realization(positions, active, powers=None, radius=5.0, alpha=4.0):
     )
 
 
+def brute_force_serving(points, positions, rank):
+    """Rank every point against every station: argmax of rank / d^2."""
+    d2 = ((points[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(divide="ignore"):
+        return np.argmax(rank[None, :] / d2, axis=1)
+
+
+def brute_force_raster(real, resolution, mode):
+    centers = mcsim._pixel_centers(real.radius, resolution)
+    x, y = np.meshgrid(centers, centers)
+    pixels = np.column_stack((x.ravel(), y.ravel()))
+    subset = np.arange(len(real))
+    if mode == "thinned-biased":
+        subset = np.flatnonzero(real.active)
+    rank = real.powers[subset] ** (2.0 / real.alpha)
+    grid = subset[brute_force_serving(pixels, real.positions[subset], rank)]
+    grid = grid.reshape(resolution, resolution)
+    if mode == "thinned-regions":
+        grid = np.where(real.active[grid], grid, -1)
+    return grid
+
+
+class TestServingStation:
+    def test_matches_the_brute_force_ranking(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            positions = rng.uniform(-4.0, 4.0, size=(n, 2))
+            # repeated powers, plus one power group with a single member
+            powers = rng.choice([0.05, 1.0, 20.0], size=n)
+            powers[rng.integers(n)] = 3.0
+            rank = powers ** (2.0 / rng.uniform(2.5, 5.0))
+            on_station = positions[rng.integers(n, size=5)]
+            points = np.vstack((rng.uniform(-5.0, 5.0, size=(40, 2)), on_station))
+            got = mcsim._serving_station(points, positions, rank)
+            np.testing.assert_array_equal(
+                got, brute_force_serving(points, positions, rank)
+            )
+
+    def test_ties_go_to_the_lower_rank(self):
+        # rank 4 at distance 2 and rank 1 at distance 1 score exactly alike
+        positions = np.array([[2.0, 0.0], [0.0, 1.0]])
+        got = mcsim._serving_station(np.zeros((1, 2)), positions, np.array([4.0, 1.0]))
+        np.testing.assert_array_equal(got, [1])
+
+    def test_no_station_serves_nobody(self):
+        got = mcsim._serving_station(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros(0))
+        np.testing.assert_array_equal(got, [-1, -1, -1])
+
+
 class TestCoverageRegionRaster:
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    @pytest.mark.parametrize("mode", mcsim.RASTER_MODES)
+    def test_matches_the_brute_force_grid(self, placement, mode):
+        net = hc.Network(
+            alpha=3.3,
+            tiers=(
+                hc.Tier(10.0, 0.3, 2.0, 0.6),
+                hc.Tier(1.0, 1.0, 2.0, 0.5),
+                hc.Tier(0.05, 2.0, 2.0, 0.3),
+            ),
+        )
+        for seed in range(3):
+            real = hc.draw_realization(net, 4.0, _trial_rng(seed, 0), placement)
+            np.testing.assert_array_equal(
+                hc.coverage_region_raster(real, 24, mode),
+                brute_force_raster(real, 24, mode),
+            )
+
     def test_single_station_owns_every_pixel(self):
         real = make_realization([[1.0, -2.0]], [True])
         grid = hc.coverage_region_raster(real, 16, "full")
