@@ -21,7 +21,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -109,11 +109,15 @@ def _load_network(path: str) -> Network:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """Write text to the path out, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _json_report(report: dict) -> str:
@@ -126,19 +130,13 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _metadata(pairs: list[tuple[str, object]]) -> str:
+    return "".join(f"# {key}={value}\n" for key, value in pairs)
+
+
 def _csv_text(metadata: list[tuple[str, object]], header: list[str], rows) -> str:
-    lines = [f"# {key}={value}" for key, value in metadata]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _quietly(series_fn, *args):
-    """Series entry point without assumption warnings; reports list them."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AssumptionWarning)
-        return series_fn(*args)
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    return _metadata(metadata) + "\n".join(lines) + "\n"
 
 
 def _sim_config(args) -> SimConfig:
@@ -158,7 +156,12 @@ def _parse_grid(spec: str) -> list[float]:
             raise ModelValidationError(
                 f"grid spec must be start:stop:count[:log], got {spec!r}"
             )
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ModelValidationError(f"cannot parse grid spec {spec!r}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ModelValidationError(f"grid endpoints must be finite, got {spec!r}")
         if count < 1:
             raise ModelValidationError(f"grid count must be >= 1, got {count}")
         if len(parts) == 4:
@@ -197,29 +200,21 @@ def _network_with(network: Network, target: str, value: float) -> Network:
     return replace(network, tiers=tuple(tiers))
 
 
-def _cmd_coverage(args) -> int:
-    network = _load_network(args.scenario)
+def _cmd_coverage(network, args) -> tuple[str, int]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
-    result = _quietly(coverage, network, control)
+    result = coverage(network, control)
     report = {
         "engine": "analytic",
         "access": "open" if network.is_open_access else "closed",
-        "value": result.value,
-        "lower": result.lower,
-        "upper": result.upper,
-        "terms_used": result.terms_used,
-        "a_over_eta": result.a_over_eta,
-        "converged": result.converged,
+        **asdict(result),
         "epsilon": args.epsilon,
         "max_terms": args.max_terms,
         "warnings": list(validation_warnings(network)),
     }
-    _emit(_json_report(report), args.out)
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    return _json_report(report), EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _cmd_simulate(args) -> int:
-    network = _load_network(args.scenario)
+def _cmd_simulate(network, args) -> tuple[str, int]:
     sim = _sim_config(args)
     if args.load == "system":
         if args.resource_blocks is None or args.user_density is None:
@@ -231,42 +226,21 @@ def _cmd_simulate(args) -> int:
         est = estimate_coverage_system(
             network, args.user_density, args.resource_blocks, sim
         )
-        extra = {
-            "tier_user_fraction": list(est.tier_user_fraction),
-            "tier_mean_activity": list(est.tier_mean_activity),
-            "user_density": args.user_density,
-            "resource_blocks": args.resource_blocks,
-        }
+        extra = {"user_density": args.user_density, "resource_blocks": args.resource_blocks}
     else:
         est = estimate_coverage(network, sim, placement=args.placement, load=args.load)
         extra = {"placement": args.placement}
-    report = {
-        "engine": "mc",
-        "load": args.load,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "trials": est.trials,
-        "seed": args.seed,
-        "window_radius": est.window_radius,
-        **extra,
-    }
-    _emit(_json_report(report), args.out)
-    return EXIT_OK
+    report = {"engine": "mc", "load": args.load, "seed": args.seed, **asdict(est), **extra}
+    return _json_report(report), EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    network = _load_network(args.scenario)
+def _cmd_compare(network, args) -> tuple[str, int]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     sim = _sim_config(args)
-    analytic_ct = _quietly(coverage, network, control)
-    analytic_fl = full_load_coverage(network)
-    analytic_idle = coverage_idle_only(network, control)
+    analytic_ct = coverage(network, control)
+    analytic = (analytic_ct, full_load_coverage(network), coverage_idle_only(network, control))
     rows = []
-    for label, load, result in (
-        ("conditional-thinning", "conditional-thinning", analytic_ct),
-        ("fully-loaded", "fully-loaded", analytic_fl),
-        ("idle-only", "idle-only", analytic_idle),
-    ):
+    for load, result in zip(LOAD_MODES, analytic):
         est = estimate_coverage(network, sim, load=load)
         delta = abs(result.value - est.mean)
         if est.stderr > 0.0:
@@ -275,7 +249,7 @@ def _cmd_compare(args) -> int:
             z = 0.0 if delta == 0.0 else math.inf
         rows.append(
             {
-                "model": label,
+                "model": load,
                 "analytic": result.value,
                 "converged": result.converged,
                 "mc_mean": est.mean,
@@ -291,21 +265,23 @@ def _cmd_compare(args) -> int:
         "any_flagged": any(r["flagged"] for r in rows),
         "warnings": list(validation_warnings(network)),
     }
-    _emit(_json_report(report), args.out)
-    return EXIT_OK if analytic_ct.converged else EXIT_NONCONVERGENCE
+    return _json_report(report), EXIT_OK if analytic_ct.converged else EXIT_NONCONVERGENCE
 
 
 def _sweep_series_index(network, values, control):
-    indices = [int(round(v)) for v in values]
-    if any(i < 1 for i in indices):
+    if not all(math.isfinite(v) for v in values):
+        raise ModelValidationError("series_index values must be finite")
+    indices = {round(v) for v in values}
+    if min(indices) < 1:
         raise ModelValidationError("series_index values must be >= 1")
+    if max(indices) > control.max_terms:
+        raise ModelValidationError(
+            f"series_index values must not exceed --max-terms ({control.max_terms}), "
+            f"got {max(indices)}"
+        )
     trace = correction_trace(network, control, count=max(indices))
     header = ["m", "term", "partial_sum", "majorant"]
-    rows = [
-        (t.index, t.term, t.partial_sum, t.majorant)
-        for t in trace
-        if t.index in set(indices)
-    ]
+    rows = [(t.index, t.term, t.partial_sum, t.majorant) for t in trace if t.index in indices]
     return header, rows, []  # a trace has no convergence to report
 
 
@@ -380,7 +356,7 @@ def _sweep_grid(network, target, values, control, args):
     header = lead + (analytic if want_analytic else []) + (mc if want_mc else [])
     if want_analytic:
         networks = [n for _, variants, _ in points for n in variants]
-        results = iter(_quietly(coverage_batch, networks, control))
+        results = iter(coverage_batch(networks, control))
     if want_mc:
         sim = _sim_config(args)
     rows, unconverged = [], []
@@ -403,8 +379,7 @@ def _sweep_grid(network, target, values, control, args):
     return header, rows, unconverged
 
 
-def _cmd_sweep(args) -> int:
-    network = _load_network(args.scenario)
+def _cmd_sweep(network, args) -> tuple[str, int]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     values = _parse_grid(args.sweep_values)
     target = args.sweep_target
@@ -419,35 +394,33 @@ def _cmd_sweep(args) -> int:
         ("trials", args.trials),
         ("epsilon", args.epsilon),
     ]
-    _emit(_csv_text(metadata, header, rows), args.out)
+    text = _csv_text(metadata, header, rows)
     if unconverged:
         where = ", ".join(_cell(v) for v in unconverged)
         print(f"non-convergence: the series did not converge at {target} = {where}",
               file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+        return text, EXIT_NONCONVERGENCE
+    return text, EXIT_OK
 
 
-def _cmd_raster(args) -> int:
-    network = _load_network(args.scenario)
+def _cmd_raster(network, args) -> tuple[str, int]:
     radius = args.radius or default_window_radius(network, args.min_points)
     rng = _trial_rng(args.seed, 0)
     realization = draw_realization(network, radius, rng, placement=args.placement)
     grid = coverage_region_raster(realization, args.resolution, args.mode)
+    if args.dump_realization:
+        field = io.StringIO()
+        realization_to_csv(realization, field)
+        _emit(field.getvalue(), args.dump_realization)
     buffer = io.StringIO()
-    for key, value in (
+    buffer.write(_metadata([
         ("mode", args.mode),
         ("seed", args.seed),
         ("resolution", args.resolution),
         ("window_radius", radius),
-    ):
-        buffer.write(f"# {key}={value}\n")
+    ]))
     raster_to_csv(realization, grid, buffer)
-    _emit(buffer.getvalue(), args.out)
-    if args.dump_realization:
-        with open(args.dump_realization, "w", encoding="utf-8", newline="") as handle:
-            realization_to_csv(realization, handle)
-    return EXIT_OK
+    return buffer.getvalue(), EXIT_OK
 
 
 def _add_series_flags(parser) -> None:
@@ -457,9 +430,12 @@ def _add_series_flags(parser) -> None:
                         help="series term cap (default 10000)")
 
 
-def _add_sim_flags(parser, default_trials: int) -> None:
-    parser.add_argument("--trials", type=_COUNT, default=default_trials,
-                        help=f"Monte Carlo trials (default {default_trials})")
+def _add_sim_flags(parser, default_trials: int | None) -> None:
+    """Simulation flags; without default_trials the command draws one field
+    and takes no --trials."""
+    if default_trials is not None:
+        parser.add_argument("--trials", type=_COUNT, default=default_trials,
+                            help=f"Monte Carlo trials (default {default_trials})")
     parser.add_argument("--seed", type=_SEED, default=0,
                         help="simulation seed (default 0, announced in output)")
     parser.add_argument("--radius", type=_POSITIVE, default=None,
@@ -477,15 +453,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Load-aware K-tier coverage: analytic series and Monte Carlo",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    io_flags = argparse.ArgumentParser(add_help=False)
+    io_flags.add_argument("--scenario", required=True, help="network scenario JSON")
+    io_flags.add_argument("--out", default=None, help="output path (default stdout)")
 
-    cov = sub.add_parser("coverage", parents=[], help="analytic coverage of a scenario")
-    cov.add_argument("--scenario", required=True, help="network scenario JSON")
+    cov = sub.add_parser("coverage", parents=[io_flags], help="analytic coverage of a scenario")
     _add_series_flags(cov)
-    cov.add_argument("--out", default=None, help="output path (default stdout)")
     cov.set_defaults(func=_cmd_coverage)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo coverage of a scenario")
-    sim.add_argument("--scenario", required=True)
+    sim = sub.add_parser("simulate", parents=[io_flags], help="Monte Carlo coverage of a scenario")
     _add_sim_flags(sim, default_trials=10_000)
     sim.add_argument("--placement", choices=PLACEMENTS, default="ppp")
     sim.add_argument("--load", choices=LOAD_MODES + ("system",),
@@ -494,11 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="user density for --load system")
     sim.add_argument("--resource-blocks", type=_COUNT, default=None,
                      help="resource blocks for --load system")
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    swp = sub.add_parser("sweep", help="parameter sweep to CSV")
-    swp.add_argument("--scenario", required=True)
+    swp = sub.add_parser("sweep", parents=[io_flags], help="parameter sweep to CSV")
     swp.add_argument("--sweep-target", required=True,
                      help="tier[J].field, target_sir_db, user_density, "
                           "access_fraction or series_index")
@@ -509,43 +483,44 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_series_flags(swp)
     _add_sim_flags(swp, default_trials=10_000)
     swp.add_argument("--resource-blocks", type=_COUNT, default=None)
-    swp.add_argument("--out", default=None)
     swp.set_defaults(func=_cmd_sweep)
 
-    cmp_ = sub.add_parser("compare", help="analytic vs Monte Carlo cross-check")
-    cmp_.add_argument("--scenario", required=True)
+    cmp_ = sub.add_parser("compare", parents=[io_flags],
+                          help="analytic vs Monte Carlo cross-check")
     _add_series_flags(cmp_)
     _add_sim_flags(cmp_, default_trials=20_000)
-    cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=_cmd_compare)
 
-    ras = sub.add_parser("raster", help="coverage-region raster to CSV")
-    ras.add_argument("--scenario", required=True)
+    ras = sub.add_parser("raster", parents=[io_flags], help="coverage-region raster to CSV")
     ras.add_argument("--resolution", type=_COUNT, default=200)
     ras.add_argument("--mode", choices=RASTER_MODES, default="full")
     ras.add_argument("--placement", choices=PLACEMENTS, default="ppp")
-    ras.add_argument("--seed", type=_SEED, default=0)
-    ras.add_argument("--radius", type=_POSITIVE, default=None)
-    ras.add_argument("--min-points", type=_COUNT, default=500)
+    _add_sim_flags(ras, default_trials=None)
     ras.add_argument("--dump-realization", default=None,
                      help="also write the sampled field as CSV")
-    ras.add_argument("--out", default=None)
     ras.set_defaults(func=_cmd_raster)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: the only place that reads the scenario, writes the
+    report and turns errors into exit codes.  Assumption warnings are
+    silenced because the reports list them (validation_warnings)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        network = _load_network(args.scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            text, code = args.func(network, args)
+        _emit(text, args.out)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
     except ModelValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -516,21 +516,18 @@ def coverage_region_raster(
 def realization_to_csv(realization: Realization, file) -> None:
     """Write the field as CSV rows "x,y,tier,active,fading"."""
     file.write("x,y,tier,active,fading\n")
-    for (x, y), tier, act, fade in zip(
-        realization.positions,
-        realization.tiers,
-        realization.active,
-        realization.fading,
-    ):
-        file.write(f"{float(x)!r},{float(y)!r},{int(tier)},{int(act)},{float(fade)!r}\n")
+    columns = (*realization.positions.T.tolist(), realization.tiers.tolist(),
+               realization.active.astype(int).tolist(), realization.fading.tolist())
+    file.writelines(
+        f"{x!r},{y!r},{tier},{act},{fade!r}\n" for x, y, tier, act, fade in zip(*columns)
+    )
 
 
 def raster_to_csv(realization: Realization, grid: np.ndarray, file) -> None:
     """Write a raster as CSV rows "x,y,bs_id,tier"; blank pixels carry -1."""
-    centers = _pixel_centers(realization.radius, grid.shape[0]).tolist()
+    centers = [repr(c) for c in _pixel_centers(realization.radius, grid.shape[0]).tolist()]
+    # a blank pixel's id -1 picks the appended tier -1
+    tiers = np.append(realization.tiers, -1)[grid]
     file.write("x,y,bs_id,tier\n")
-    for iy, y in enumerate(centers):
-        for ix, x in enumerate(centers):
-            bs = int(grid[iy, ix])
-            tier = int(realization.tiers[bs]) if bs >= 0 else -1
-            file.write(f"{x!r},{y!r},{bs},{tier}\n")
+    for y, bs_row, tier_row in zip(centers, grid.tolist(), tiers.tolist()):
+        file.writelines(f"{x},{y},{bs},{tier}\n" for x, bs, tier in zip(centers, bs_row, tier_row))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .specfun import SeriesTolerance, interference_constant, gauss_2f1
@@ -114,7 +115,7 @@ class Network:
             )
         else:
             object.__setattr__(
-                self, "access", frozenset(int(i) for i in self.access)
+                self, "access", frozenset(_tier_index(i) for i in self.access)
             )
         _check_network(self)
 
@@ -133,6 +134,13 @@ class Network:
     def access_tiers(self) -> list[tuple[int, Tier]]:
         """(1-based index, tier) pairs of the connectable tiers, in order."""
         return [(i, t) for i, t in enumerate(self.tiers, start=1) if i in self.access]
+
+
+def _tier_index(value) -> int:
+    """An access entry as an int; 2.0 passes, 1.5 and "x" do not."""
+    if not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ModelValidationError(f"access indices must be integers, got {value!r}")
+    return int(value)
 
 
 def _weight(tier: Tier, alpha: float) -> float:
@@ -390,7 +398,22 @@ def network_to_dict(network: Network) -> dict:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ModelValidationError(f"{db} dB is beyond the float range") from None
+
+
+def _number(doc: dict, key: str, where: str) -> float:
+    """doc[key] as a float; a missing or non-numeric value names where and key."""
+    if key not in doc:
+        raise ModelValidationError(f"{where} is missing required key {key!r}")
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelValidationError(
+            f"{where}: {key} must be a number, got {doc[key]!r}"
+        ) from exc
 
 
 def network_from_dict(doc: dict) -> Network:
@@ -401,27 +424,24 @@ def network_from_dict(doc: dict) -> Network:
     """
     if not isinstance(doc, dict):
         raise ModelValidationError(f"scenario must be a JSON object, got {type(doc).__name__}")
-    try:
-        alpha = float(doc["alpha"])
-        raw_tiers = doc["tiers"]
-    except KeyError as exc:
-        raise ModelValidationError(f"scenario is missing required key {exc}") from exc
+    alpha = _number(doc, "alpha", "scenario")
+    if "tiers" not in doc:
+        raise ModelValidationError("scenario is missing required key 'tiers'")
+    raw_tiers = doc["tiers"]
     if not isinstance(raw_tiers, list) or not raw_tiers:
         raise ModelValidationError("tiers must be a non-empty list")
     tiers = []
     for i, entry in enumerate(raw_tiers, start=1):
-        try:
-            tiers.append(
-                Tier(
-                    power=float(entry["power"]),
-                    density=float(entry["density"]),
-                    target_sir=_db_to_linear(float(entry["target_sir_db"])),
-                    activity=float(entry["activity"]),
-                )
-            )
-        except KeyError as exc:
-            raise ModelValidationError(f"tier {i} is missing required key {exc}") from exc
+        if not isinstance(entry, dict):
+            raise ModelValidationError(f"tier {i} must be a JSON object, got {entry!r}")
+        power, density, target_db, activity = (
+            _number(entry, key, f"tier {i}")
+            for key in ("power", "density", "target_sir_db", "activity")
+        )
+        tiers.append(Tier(power, density, _db_to_linear(target_db), activity))
     access = doc.get("access")
+    if access is not None and not isinstance(access, list):
+        raise ModelValidationError(f"access must be a list of tier indices, got {access!r}")
     return Network(alpha=alpha, tiers=tuple(tiers), access=access)
 
 

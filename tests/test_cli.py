@@ -183,6 +183,78 @@ class TestErrorPaths:
         assert code == cli.EXIT_VALIDATION
 
 
+TIER = {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.8}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"alpha": 3.8, "tiers": [{**TIER, "power": "abc"}]},
+        {"alpha": "x", "tiers": [TIER]},
+        {"alpha": 3.8, "tiers": [1]},
+        {"alpha": 3.8, "tiers": [TIER], "access": "x"},
+        {"alpha": 3.8, "tiers": [TIER, TIER], "access": [1.5]},
+        {"alpha": 3.8, "tiers": [{**TIER, "target_sir_db": 1e4}]},
+    ],
+    ids=["power", "alpha", "tier", "access", "fractional-access", "db-overflow"],
+)
+def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
+    scenario = write_scenario(tmp_path / "malformed.json", doc)
+    code = cli.main(["coverage", "--scenario", scenario])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:x"],
+        # numpy would print a RuntimeWarning for the infinite grid step
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:inf:3"],
+        ["--sweep-target", "series_index", "--sweep-values", "nan"],
+        ["--sweep-target", "series_index", "--sweep-values", "2,inf"],
+        # a trace is capped by the series term cap like the series itself
+        ["--sweep-target", "series_index", "--sweep-values", "6", "--max-terms", "5"],
+    ],
+    ids=" ".join,
+)
+def test_bad_sweep_values_are_validation_errors(capsys, loaded_scenario, argv):
+    code = cli.main(["sweep", "--scenario", loaded_scenario, *argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert captured.err.count("\n") == 1
+
+
+RASTER = ["raster", "--resolution", "4", "--radius", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coverage"], "--out"),
+        (["simulate", "--trials", "20"], "--out"),
+        (["compare", "--trials", "20"], "--out"),
+        (["sweep", "--sweep-target", "tier[2].density", "--sweep-values", "1,2"], "--out"),
+        (RASTER, "--out"),
+        (RASTER, "--dump-realization"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, loaded_scenario, argv, flag):
+    target = tmp_path / "missing" / "out.txt"
+    code = cli.main([*argv, "--scenario", loaded_scenario, flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {str(target)!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -266,6 +338,7 @@ class TestSimulateCommand:
         )
         assert code == cli.EXIT_OK
         assert len(report["tier_user_fraction"]) == 2
+        assert len(report["tier_user_fraction_stderr"]) == 2
         assert len(report["tier_mean_activity"]) == 2
         assert report["window_radius"] == 6.0
 

@@ -356,6 +356,26 @@ def brute_force_raster(real, resolution, mode):
     return grid
 
 
+def per_row_realization_csv(real) -> str:
+    """Reference field writer: one numpy scalar conversion per cell."""
+    lines = ["x,y,tier,active,fading\n"]
+    for (x, y), tier, act, fade in zip(real.positions, real.tiers, real.active, real.fading):
+        lines.append(f"{float(x)!r},{float(y)!r},{int(tier)},{int(act)},{float(fade)!r}\n")
+    return "".join(lines)
+
+
+def per_row_raster_csv(real, grid) -> str:
+    """Reference raster writer: one pixel at a time, blank pixels as tier -1."""
+    centers = mcsim._pixel_centers(real.radius, grid.shape[0]).tolist()
+    lines = ["x,y,bs_id,tier\n"]
+    for iy, y in enumerate(centers):
+        for ix, x in enumerate(centers):
+            bs = int(grid[iy, ix])
+            tier = int(real.tiers[bs]) if bs >= 0 else -1
+            lines.append(f"{x!r},{y!r},{bs},{tier}\n")
+    return "".join(lines)
+
+
 class TestServingStation:
     def test_matches_the_brute_force_ranking(self):
         rng = np.random.default_rng(5)
@@ -458,6 +478,21 @@ class TestCoverageRegionRaster:
         centres = [-3.7 + (k + 0.5) * (2.0 * 3.7 / 7) for k in range(7)]
         want = [f"{x!r},{y!r},0,1" for y in centres for x in centres]
         assert buffer.getvalue().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    @pytest.mark.parametrize("mode", mcsim.RASTER_MODES)
+    def test_csv_writers_match_the_per_row_writers(self, mode, placement, seed):
+        real = hc.draw_realization(two_tier(p1=0.5, p2=0.3), 3.0, _trial_rng(seed, 0),
+                                   placement=placement)
+        grid = hc.coverage_region_raster(real, 15, mode)
+        if mode == "thinned-regions":
+            assert (grid == -1).any()  # blank pixels take the tier -1 path
+        raster, field = io.StringIO(), io.StringIO()
+        hc.raster_to_csv(real, grid, raster)
+        hc.realization_to_csv(real, field)
+        assert raster.getvalue() == per_row_raster_csv(real, grid)
+        assert field.getvalue() == per_row_realization_csv(real)
 
     def test_validation(self):
         real = make_realization([[0.0, 0.0]], [True])

@@ -85,6 +85,15 @@ class TestNetwork:
         with pytest.raises(ModelValidationError, match="access"):
             Network(alpha=4.0, tiers=(tier(),), access=[2])
 
+    @pytest.mark.parametrize("index", [1.5, "x", None])
+    def test_non_integral_access_rejected(self, index):
+        # int(1.5) would silently truncate the index to tier 1
+        with pytest.raises(ModelValidationError, match="integers"):
+            Network(alpha=4.0, tiers=(tier(), tier()), access=[index])
+
+    def test_integral_float_access_is_an_index(self):
+        assert Network(alpha=4.0, tiers=(tier(), tier()), access=[2.0]).access == {2}
+
     def test_default_access_is_open(self):
         net = Network(alpha=4.0, tiers=(tier(), tier()))
         assert net.is_open_access
@@ -359,4 +368,10 @@ class TestScenarioFormat:
         doc = self.scenario()
         doc["tiers"] = {}
         with pytest.raises(ModelValidationError, match="tiers"):
+            network_from_dict(doc)
+
+    def test_tier_errors_pass_through_unchanged(self):
+        doc = self.scenario()
+        doc["tiers"][0]["power"] = -1.0
+        with pytest.raises(ModelValidationError, match="^power must be positive, got -1.0$"):
             network_from_dict(doc)
