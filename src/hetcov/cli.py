@@ -200,7 +200,7 @@ def _network_with(network: Network, target: str, value: float) -> Network:
     return replace(network, tiers=tuple(tiers))
 
 
-def _cmd_coverage(network, args) -> tuple[str, int]:
+def _cmd_coverage(network, args) -> tuple[str, int, str]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     result = coverage(network, control)
     report = {
@@ -211,10 +211,11 @@ def _cmd_coverage(network, args) -> tuple[str, int]:
         "max_terms": args.max_terms,
         "warnings": list(validation_warnings(network)),
     }
-    return _json_report(report), EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    code = EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+    return _json_report(report), code, ""
 
 
-def _cmd_simulate(network, args) -> tuple[str, int]:
+def _cmd_simulate(network, args) -> tuple[str, int, str]:
     sim = _sim_config(args)
     if args.load == "system":
         if args.resource_blocks is None or args.user_density is None:
@@ -231,10 +232,10 @@ def _cmd_simulate(network, args) -> tuple[str, int]:
         est = estimate_coverage(network, sim, placement=args.placement, load=args.load)
         extra = {"placement": args.placement}
     report = {"engine": "mc", "load": args.load, "seed": args.seed, **asdict(est), **extra}
-    return _json_report(report), EXIT_OK
+    return _json_report(report), EXIT_OK, ""
 
 
-def _cmd_compare(network, args) -> tuple[str, int]:
+def _cmd_compare(network, args) -> tuple[str, int, str]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     sim = _sim_config(args)
     analytic_ct = coverage(network, control)
@@ -265,7 +266,8 @@ def _cmd_compare(network, args) -> tuple[str, int]:
         "any_flagged": any(r["flagged"] for r in rows),
         "warnings": list(validation_warnings(network)),
     }
-    return _json_report(report), EXIT_OK if analytic_ct.converged else EXIT_NONCONVERGENCE
+    code = EXIT_OK if analytic_ct.converged else EXIT_NONCONVERGENCE
+    return _json_report(report), code, ""
 
 
 def _sweep_series_index(network, values, control):
@@ -379,7 +381,7 @@ def _sweep_grid(network, target, values, control, args):
     return header, rows, unconverged
 
 
-def _cmd_sweep(network, args) -> tuple[str, int]:
+def _cmd_sweep(network, args) -> tuple[str, int, str]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     values = _parse_grid(args.sweep_values)
     target = args.sweep_target
@@ -397,13 +399,12 @@ def _cmd_sweep(network, args) -> tuple[str, int]:
     text = _csv_text(metadata, header, rows)
     if unconverged:
         where = ", ".join(_cell(v) for v in unconverged)
-        print(f"non-convergence: the series did not converge at {target} = {where}",
-              file=sys.stderr)
-        return text, EXIT_NONCONVERGENCE
-    return text, EXIT_OK
+        note = f"non-convergence: the series did not converge at {target} = {where}"
+        return text, EXIT_NONCONVERGENCE, note
+    return text, EXIT_OK, ""
 
 
-def _cmd_raster(network, args) -> tuple[str, int]:
+def _cmd_raster(network, args) -> tuple[str, int, str]:
     radius = args.radius or default_window_radius(network, args.min_points)
     rng = _trial_rng(args.seed, 0)
     realization = draw_realization(network, radius, rng, placement=args.placement)
@@ -420,7 +421,7 @@ def _cmd_raster(network, args) -> tuple[str, int]:
         ("window_radius", radius),
     ]))
     raster_to_csv(realization, grid, buffer)
-    return buffer.getvalue(), EXIT_OK
+    return buffer.getvalue(), EXIT_OK, ""
 
 
 def _add_series_flags(parser) -> None:
@@ -504,8 +505,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: the only place that reads the scenario, writes the
-    report and turns errors into exit codes.  Assumption warnings are
-    silenced because the reports list them (validation_warnings)."""
+    report and turns errors into exit codes.  A command returns (text, exit
+    code, note); a non-empty note goes to stderr once the text is written.
+    Assumption warnings are silenced because the reports list them
+    (validation_warnings)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -515,8 +518,10 @@ def main(argv=None) -> int:
         network = _load_network(args.scenario)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AssumptionWarning)
-            text, code = args.func(network, args)
+            text, code, note = args.func(network, args)
         _emit(text, args.out)
+        if note:
+            print(note, file=sys.stderr)
         return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

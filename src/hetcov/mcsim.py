@@ -2,11 +2,15 @@
 
 Provides the point-field samplers, the conditional-thinning coverage
 estimator, the detailed per-BS load simulation and the coverage-region
-rasteriser.  Estimators draw all randomness from counter-based per-trial
-substreams keyed on (seed, trial index), so trials are independent work
-units: results do not depend on execution order or batching and are
-bit-identical for a given seed.  Aggregation is a plain sum of indicator
-counts, hence commutative.
+rasteriser.  Estimators draw all randomness from counter-based streams:
+the coverage estimator keys one generator on (seed, block, tier) for each
+tier of each block of _BLOCK_TRIALS trials, the system simulation one on
+(seed, trial) for each trial.  Blocks are independent work units that
+return plain counts, summed in block order, so a result does not depend on
+the chunking or on the trial count of the run: trial t depends only on
+(seed, t), and a run of n trials is a prefix of any longer run with the
+same seed.  Blocks run one after another in the calling thread; see
+_BLOCK_TRIALS for why they are not spread over threads.
 """
 
 from __future__ import annotations
@@ -40,7 +44,16 @@ PLACEMENTS = ("ppp", "hex-first-tier")
 LOAD_MODES = ("conditional-thinning", "fully-loaded", "idle-only")
 RASTER_MODES = ("full", "thinned-regions", "thinned-biased")
 
-_POINT_BUDGET = 2_000_000  # flat points per batch of trials in _count_covered
+# Stations per drawn chunk of a block: larger chunks page-fault fresh
+# arrays and fall out of cache, smaller ones add numpy calls.
+_POINT_BUDGET = 65_536
+# Trials per keyed generator.  Blocks run one after another: a block makes
+# some thirty short numpy calls per chunk, between which numpy holds the
+# interpreter lock.  On a 2-core host two threads gained 1.6x on the
+# 15,000-station window only while the other core was idle; beside one busy
+# process the benchmark ran slower on two threads than on one, and its
+# command times followed the neighbour's load.
+_BLOCK_TRIALS = 16
 _UINT64_MASK = (1 << 64) - 1
 
 
@@ -77,13 +90,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo mean with its binomial standard error and the radius of
-    the window the trials were sampled on."""
+    """Monte Carlo mean with its binomial standard error, the radius of the
+    window the trials were sampled on, the number of trials that held no
+    candidate station and the mean number of stations a trial drew."""
 
     mean: float
     stderr: float
     trials: int
     window_radius: float
+    empty_trials: int
+    mean_stations_per_trial: float
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,8 @@ class SystemEstimate:
     tier_user_fraction_stderr: tuple[float, ...]
     tier_mean_activity: tuple[float, ...]
     window_radius: float
+    empty_trials: int
+    mean_stations_per_trial: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +151,41 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _binomial_estimate(successes: int, trials: int, radius: float) -> Estimate:
+def _block_rng(seed: int, block: int, tier: int) -> np.random.Generator:
+    """Counter-based stream for one tier of one block of _BLOCK_TRIALS
+    trials."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, block, tier]))
+    )
+
+
+def _map_blocks(task, trials: int) -> list:
+    """task(block) for each block of _BLOCK_TRIALS trials, in block order."""
+    return [task(b) for b in range(-(-trials // _BLOCK_TRIALS))]
+
+
+def _binomial_estimate(
+    successes: int, trials: int, radius: float, empty: int, stations: int
+) -> Estimate:
+    """The estimate of successes in trials; warns when more than 0.1% of the
+    trials held no candidate station.  Call it from the estimator itself, so
+    the warning names the estimator's caller."""
+    if empty > 0.001 * trials:
+        warnings.warn(
+            f"{empty} of {trials} trials had no candidate station "
+            "in the window; enlarge the window or densities",
+            stacklevel=3,
+        )
     mean = successes / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    return Estimate(mean=mean, stderr=stderr, trials=trials, window_radius=radius)
+    return Estimate(
+        mean=mean,
+        stderr=stderr,
+        trials=trials,
+        window_radius=radius,
+        empty_trials=empty,
+        mean_stations_per_trial=stations / trials,
+    )
 
 
 def _disc_radius(densities, min_points: int) -> float:
@@ -166,6 +215,35 @@ def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.nd
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
+def _hex_sites(
+    density: float, radius: float, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unrotated hexagonal lattice of the given density, translated by shift,
+    an (..., 2) array of primitive-cell coordinates in [0, 1).
+
+    Returns x and y of shape (..., sites) over an index range that covers the
+    disc; clipping to the disc is the caller's.
+    """
+    if not density > 0.0:
+        raise ValueError(f"density must be positive, got {density}")
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    spacing = math.sqrt(2.0 / (math.sqrt(3.0) * density))
+    # Primitive cell a1 = (s, 0), a2 = (s/2, s*sqrt(3)/2); index ranges must
+    # cover the disc before any rotation, which preserves radii.
+    row_height = spacing * math.sqrt(3.0) / 2.0
+    k_max = int(math.ceil(radius / row_height)) + 2
+    j_max = int(math.ceil(radius / spacing + k_max / 2.0)) + 2
+    j, k = np.meshgrid(
+        np.arange(-j_max, j_max + 1), np.arange(-k_max, k_max + 1), indexing="ij"
+    )
+    j, k = j.ravel(), k.ravel()
+    u1, u2 = shift[..., :1], shift[..., 1:]
+    x = (j + u1 + 0.5 * (k + u2)) * spacing
+    y = (k + u2) * row_height
+    return x, y
+
+
 def sample_hex_grid(
     density: float, radius: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -175,23 +253,8 @@ def sample_hex_grid(
     cell and a uniformly random rotation, so the typical point at the origin
     sees translation-invariant statistics across draws.
     """
-    if not density > 0.0:
-        raise ValueError(f"density must be positive, got {density}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    spacing = math.sqrt(2.0 / (math.sqrt(3.0) * density))
-    u1, u2 = rng.random(2)
+    x, y = _hex_sites(density, radius, rng.random(2))
     angle = 2.0 * math.pi * rng.random()
-    # Primitive cell a1 = (s, 0), a2 = (s/2, s*sqrt(3)/2); index ranges must
-    # cover the disc before the rotation, which preserves radii.
-    row_height = spacing * math.sqrt(3.0) / 2.0
-    k_max = int(math.ceil(radius / row_height)) + 2
-    j_max = int(math.ceil(radius / spacing + k_max / 2.0)) + 2
-    j, k = np.meshgrid(
-        np.arange(-j_max, j_max + 1), np.arange(-k_max, k_max + 1), indexing="ij"
-    )
-    x = (j + u1 + 0.5 * (k + u2)) * spacing
-    y = (k + u2) * row_height
     keep = x * x + y * y <= radius * radius
     x, y = x[keep], y[keep]
     cos_a, sin_a = math.cos(angle), math.sin(angle)
@@ -245,97 +308,100 @@ def draw_realization(
     )
 
 
-# Kept apart from _sample_field: the Monte Carlo hot path never forms positions.
-def _draw_radial_trial(
-    network: Network,
-    radius: float,
-    rng: np.random.Generator,
-    placement: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Radial view of one trial: (squared radii, tier idx, fading, active).
-
-    For a Poisson field only the distances to the origin matter to the
-    coverage functional, and the squared radii of a uniform disc point are
-    uniform on [0, radius^2], so positions are never materialised.  The hex
-    tier needs the geometry, so its radii come from the lattice points.
-    """
-    r2_parts, tier_parts, fade_parts, act_parts = [], [], [], []
-    r_sq = radius * radius
-    for index, tier in enumerate(network.tiers):
-        if placement == "hex-first-tier" and index == 0:
-            pts = sample_hex_grid(tier.density, radius, rng)
-            r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        else:
-            n = rng.poisson(tier.density * math.pi * r_sq)
-            r2 = rng.random(n) * r_sq
-        n = len(r2)
-        r2_parts.append(r2)
-        tier_parts.append(np.full(n, index, dtype=np.int8))
-        fade_parts.append(rng.standard_exponential(n))
-        act_parts.append(rng.random(n) < tier.activity)
-    parts = (r2_parts, tier_parts, fade_parts, act_parts)
-    return tuple(np.concatenate(part) for part in parts)
-
-
 def _count_covered(
-    network: Network, sim: SimConfig, radius: float, draw_trial, load: str
-) -> int:
-    """Number of trials whose centre user is covered.
+    network: Network, load: str, trials: int, chunks
+) -> tuple[int, int, int]:
+    """(covered, empty, stations) over a group of trials laid out as columns.
 
-    draw_trial(rng) returns one trial's (squared radii, 0-based tier index,
-    fading, active) on the disc of the given radius.  Trials are reduced in
-    batches of about _POINT_BUDGET flat points with bincounts keyed by
-    trial.  The user is covered when any candidate of the load rule (see
-    estimate_coverage) clears its tier target.  Warns when more than 0.1%
-    of the trials hold no candidate station.
+    chunks yields (tier, r2, fade, active, present), arrays of shape
+    (slots, trials): slot j of column i holds a station of that tier in
+    trial i where present is set, and padding (finite, with r2 > 0)
+    elsewhere.  A trial's centre user is covered when a candidate of the
+    load rule (see estimate_coverage) clears its tier target, signal >=
+    threshold * interference, that is when the largest signal / threshold
+    over the candidates reaches the interference; a trial without any
+    candidate counts as empty.  The interference is summed slot by slot in
+    chunk order, so cutting a tier's slots into more chunks changes no sum.
     """
-    neg_half_alpha = -network.alpha / 2.0
-    power = np.array([t.power for t in network.tiers])
-    beta = np.array([t.target_sir for t in network.tiers])
-    delta = np.array([t.delta for t in network.tiers])
-    accessible = np.array(
-        [i in network.access for i in range(1, network.num_tiers + 1)]
-    )
+    interference = np.zeros((1, trials))
+    best = np.zeros(trials)
+    found = np.zeros(trials, dtype=bool)
+    stations = 0
+    for k, r2, fade, active, present in chunks:
+        stations += int(np.count_nonzero(present))
+        tier = network.tiers[k]
+        signal = tier.power * fade * r2 ** (-network.alpha / 2.0)
+        on = present & active
+        heard = signal * on
+        interference = np.add.reduce(np.vstack((interference, heard)), axis=0, keepdims=True)
+        if k + 1 not in network.access:
+            continue
+        # signals are non-negative, so zeroing the non-candidates leaves the
+        # largest candidate signal; dividing by the threshold keeps the order
+        if load != "idle-only":  # active candidates
+            best = np.maximum(best, heard.max(axis=0, initial=0.0) / tier.delta)
+            found |= on.any(axis=0)
+        if load != "fully-loaded":  # idle candidates
+            off = present & ~active
+            best = np.maximum(best, (signal * off).max(axis=0, initial=0.0) / tier.target_sir)
+            found |= off.any(axis=0)
+    covered = int(np.count_nonzero(found & (best >= interference[0])))
+    return covered, trials - int(np.count_nonzero(found)), stations
 
-    mean_points = sum(t.density for t in network.tiers) * math.pi * radius**2
-    chunk = max(1, int(_POINT_BUDGET / max(1.0, mean_points)))
-    covered = 0
-    empty_trials = 0
-    for start in range(0, sim.trials, chunk):
-        stop = min(start + chunk, sim.trials)
-        batch = stop - start
-        drawn = [draw_trial(_trial_rng(sim.seed, t)) for t in range(start, stop)]
-        r2, tier_idx, fade, act = (np.concatenate(part) for part in zip(*drawn))
-        trial_idx = np.repeat(np.arange(batch), [len(trial[0]) for trial in drawn])
 
-        signal = power[tier_idx] * fade * r2**neg_half_alpha
-        interference = np.bincount(
-            trial_idx, weights=np.where(act, signal, 0.0), minlength=batch
+def _poisson_tier(rng: np.random.Generator, tier, radius: float, trials: int):
+    """Chunks (r2, fade, active, present) of one Poisson tier for the first
+    `trials` columns of a block, nearest station first.
+
+    Slot j of trial i reads row (j, i) of the block's (slots, _BLOCK_TRIALS,
+    3) uniforms: an exponential gap of unit-rate arrivals whose running sum
+    G gives r2 = G / (pi * density), the fading and the active mark.  A
+    station is in the window while G <= pi * density * radius^2.  A row
+    thus belongs to one (trial, rank) whatever the radius or the number of
+    trials, and a larger window holds every station of a smaller one.  Rows
+    are drawn in chunks of at most _POINT_BUDGET stations, about three
+    standard deviations past the mean count, and on until every trial has
+    left the window.
+    """
+    mean = math.pi * tier.density * radius * radius
+    margin = math.ceil(3.0 * math.sqrt(mean)) + 1
+    most = max(1, _POINT_BUDGET // _BLOCK_TRIALS)
+    drawn, target = 0, math.ceil(mean) + margin
+    arrival = np.zeros((1, trials))
+    while True:
+        count = min(most, target - drawn)
+        rows = rng.random((count, _BLOCK_TRIALS, 3))[:, :trials]
+        gaps = -np.log1p(-rows[:, :, 0])
+        # the carried row keeps every running sum in slot order
+        arrival = np.cumsum(np.vstack((arrival[-1:], gaps)), axis=0)[1:]
+        present = arrival <= mean
+        yield (
+            arrival / (math.pi * tier.density),
+            -np.log1p(-rows[:, :, 1]),
+            rows[:, :, 2] < tier.activity,
+            present,
         )
-        per_point_interference = interference[trial_idx]
-        in_access = accessible[tier_idx]
-        if load == "conditional-thinning":
-            candidate = in_access
-            threshold = np.where(act, delta[tier_idx], beta[tier_idx])
-        elif load == "fully-loaded":
-            candidate = in_access & act
-            threshold = delta[tier_idx]
-        else:  # idle-only
-            candidate = in_access & ~act
-            threshold = beta[tier_idx]
-        hits = candidate & (signal >= threshold * per_point_interference)
-        hit_counts = np.bincount(trial_idx[hits], minlength=batch)
-        covered += int(np.count_nonzero(hit_counts))
-        candidate_counts = np.bincount(trial_idx[candidate], minlength=batch)
-        empty_trials += int(np.count_nonzero(candidate_counts == 0))
+        if not present[-1].any():
+            return
+        drawn += count
+        if drawn == target:
+            target += margin
 
-    if empty_trials > 0.001 * sim.trials:
-        warnings.warn(
-            f"{empty_trials} of {sim.trials} trials had no candidate station "
-            "in the window; enlarge the window or densities",
-            stacklevel=3,
-        )
-    return covered
+
+def _lattice_tier(rng: np.random.Generator, tier, radius: float, trials: int):
+    """The one chunk (r2, fade, active, present) of a hexagonal tier for the
+    first `trials` columns of a block: the block draws _BLOCK_TRIALS lattice
+    offsets, then one row of (fading, active) uniforms per site in the disc,
+    trial by trial."""
+    x, y = _hex_sites(tier.density, radius, rng.random((_BLOCK_TRIALS, 2))[:trials])
+    r2 = x * x + y * y
+    present = r2 <= radius * radius
+    rows = rng.random((np.count_nonzero(present), 2))
+    fade = np.zeros(r2.shape)
+    fade[present] = -np.log1p(-rows[:, 0])
+    active = np.zeros(r2.shape, dtype=bool)
+    active[present] = rows[:, 1] < tier.activity
+    yield r2.T, fade.T, active.T, present.T
 
 
 def estimate_coverage(
@@ -357,6 +423,12 @@ def estimate_coverage(
     and idle candidates (the load-aware model), "fully-loaded" drops the
     idle stations entirely (the thinned-density full-load baseline), and
     "idle-only" admits only idle candidates against the active field.
+
+    Only the distances to the origin matter to the test, so stations never
+    get positions.  Each (block, tier) pair draws from its own generator:
+    a Poisson tier its stations in order of distance (_poisson_tier), so
+    runs that differ only in the window radius share every station they
+    both hold; "hex-first-tier" draws its lattice (_lattice_tier).
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
@@ -366,11 +438,23 @@ def estimate_coverage(
         network, sim.min_expected_points
     )
 
-    def draw_trial(rng):
-        return _draw_radial_trial(network, radius, rng, placement)
+    def chunks(b: int, trials: int):
+        for k, tier in enumerate(network.tiers):
+            if placement == "hex-first-tier" and k == 0:
+                sampler = _lattice_tier
+            elif tier.density > 0.0:
+                sampler = _poisson_tier
+            else:
+                continue
+            for chunk in sampler(_block_rng(sim.seed, b, k), tier, radius, trials):
+                yield (k, *chunk)
 
-    covered = _count_covered(network, sim, radius, draw_trial, load)
-    return _binomial_estimate(covered, sim.trials, radius)
+    def block(b: int) -> tuple[int, int, int]:
+        trials = min(_BLOCK_TRIALS, sim.trials - b * _BLOCK_TRIALS)
+        return _count_covered(network, load, trials, chunks(b, trials))
+
+    covered, empty, stations = map(sum, zip(*_map_blocks(block, sim.trials)))
+    return _binomial_estimate(covered, sim.trials, radius, empty, stations)
 
 
 def estimate_coverage_system(
@@ -387,7 +471,10 @@ def estimate_coverage_system(
     1).  The typical user at the centre is then tested exactly as in
     estimate_coverage, with per-station activity probabilities.  Activity
     factors are an outcome here, not an input, so the default window is
-    sized from the raw station densities.
+    sized from the raw station densities.  Trial t draws from its own
+    (seed, t) stream; trials are tested in blocks of _BLOCK_TRIALS, as in
+    estimate_coverage, and every count and diagnostic is summed in trial
+    order.
     """
     if user_density < 0.0:
         raise ValueError(f"user_density must be non-negative, got {user_density}")
@@ -400,11 +487,11 @@ def estimate_coverage_system(
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2
 
-    fractions: list[np.ndarray] = []
-    activity_sums = np.zeros(K)
-    activity_counts = np.zeros(K, dtype=np.int64)
-
-    def draw_trial(rng):
+    def trial(t: int):
+        """Trial t's stations per tier as (r2, fade, active) and its load
+        diagnostics: the inner users' tier shares (None without inner
+        users), the per-tier activity sums and station counts."""
+        rng = _trial_rng(sim.seed, t)
         positions, tier_idx, fade, uniforms = _sample_field(network, radius, rng, "ppp")
         users = sample_ppp(user_density, radius, rng)
         counts_per_tier = np.bincount(tier_idx, minlength=K)
@@ -413,6 +500,7 @@ def estimate_coverage_system(
         # Without stations nobody is served and the trial counts as not
         # covered; without users every station stays idle.
         served = np.zeros(n_bs, dtype=np.int64)
+        fraction = None
         if n_bs and n_users:
             chosen = _serving_station(users, positions, rank[tier_idx])
             best_tier = tier_idx[chosen]
@@ -420,16 +508,52 @@ def estimate_coverage_system(
             inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
             n_inner = int(np.count_nonzero(inner))
             if n_inner:
-                fractions.append(np.bincount(best_tier[inner], minlength=K) / n_inner)
+                fraction = np.bincount(best_tier[inner], minlength=K) / n_inner
 
         activity = np.minimum(served / resource_blocks, 1.0)
-        for i in range(K):
-            activity_sums[i] += float(np.sum(activity[offsets[i]:offsets[i + 1]]))
-        activity_counts[:] += counts_per_tier
         r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-        return r2, tier_idx, fade, uniforms < activity
+        active = uniforms < activity
+        tiers = [slice(offsets[i], offsets[i + 1]) for i in range(K)]
+        per_tier = [(r2[s], fade[s], active[s]) for s in tiers]
+        activity_sum = np.array([np.sum(activity[s]) for s in tiers])
+        return per_tier, fraction, activity_sum, counts_per_tier
 
-    covered = _count_covered(network, sim, radius, draw_trial, "conditional-thinning")
+    def block(b: int):
+        """(covered, empty, stations) of block b and its trials' diagnostics."""
+        first = b * _BLOCK_TRIALS
+        drawn = [trial(t) for t in range(first, min(first + _BLOCK_TRIALS, sim.trials))]
+
+        def chunks():
+            # tier k of trial i fills column i; the padding of ones keeps
+            # every padded signal finite
+            for k in range(K):
+                parts = [d[0][k] for d in drawn]
+                counts = np.array([len(part[0]) for part in parts])
+                present = np.arange(counts.max())[:, None] < counts
+                columns = []
+                for values in zip(*parts):
+                    column = np.ones(present.shape, dtype=values[0].dtype)
+                    column.T[present.T] = np.concatenate(values)
+                    columns.append(column)
+                yield (k, *columns, present)
+
+        counts = _count_covered(network, "conditional-thinning", len(drawn), chunks())
+        return counts, [d[1:] for d in drawn]
+
+    covered = empty = stations = 0
+    fractions: list[np.ndarray] = []
+    activity_sums = np.zeros(K)
+    activity_counts = np.zeros(K, dtype=np.int64)
+    for (hits, misses, seen), trials in _map_blocks(block, sim.trials):
+        covered += hits
+        empty += misses
+        stations += seen
+        for fraction, activity_sum, counts_per_tier in trials:
+            if fraction is not None:
+                fractions.append(fraction)
+            activity_sums += activity_sum
+            activity_counts += counts_per_tier
+
     if len(fractions) > 1:
         stacked = np.vstack(fractions)
         frac_mean = stacked.mean(axis=0)
@@ -444,7 +568,7 @@ def estimate_coverage_system(
         where=activity_counts > 0,
     )
     return SystemEstimate(
-        **vars(_binomial_estimate(covered, sim.trials, radius)),
+        **vars(_binomial_estimate(covered, sim.trials, radius, empty, stations)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),

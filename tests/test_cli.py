@@ -359,6 +359,32 @@ class TestSimulateCommand:
         assert report["window_radius"] == pytest.approx(math.sqrt(500.0 / math.pi), rel=1e-15)
 
 
+    @pytest.mark.parametrize("load", ["conditional-thinning", "system"])
+    def test_reports_empty_trials_and_stations(self, capsys, loaded_scenario, load):
+        argv = ["simulate", "--scenario", loaded_scenario, "--trials", "20", "--radius", "3",
+                "--load", load]
+        if load == "system":
+            argv += ["--user-density", "5", "--resource-blocks", "10"]
+        code, report = run_json(capsys, argv)
+        assert code == cli.EXIT_OK
+        assert report["empty_trials"] == 0
+        # 3 stations per unit area on a disc of radius 3
+        assert 3.0 * math.pi * 9.0 * 0.8 < report["mean_stations_per_trial"] < 3.0 * math.pi * 9.0 * 1.2
+
+    @pytest.mark.parametrize("placement", ["ppp", "hex-first-tier"])
+    def test_more_than_128_tiers(self, capsys, tmp_path, placement):
+        tiers = [
+            {"power": 10.0 ** (-k / 40.0), "density": 0.05, "target_sir_db": 2.0, "activity": 0.5}
+            for k in range(130)
+        ]
+        scenario = write_scenario(tmp_path / "many.json", {"alpha": 3.8, "tiers": tiers})
+        code = cli.main(["simulate", "--scenario", scenario, "--trials", "5",
+                         "--placement", placement])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["trials"] == 5
+
 class TestSweepCommand:
     def test_density_sweep_is_flat_for_matched_activities(self, capsys, tmp_path):
         scenario = write_scenario(
@@ -489,6 +515,39 @@ class TestSweepCommand:
         assert captured.err.startswith("non-convergence:")
         assert "user_density = 0.5, 1.0" in captured.err
         assert "20.0" not in captured.err and "100.0" not in captured.err
+
+    UNCONVERGED = ["sweep", "--sweep-target", "user_density", "--sweep-values", "0.5,20",
+                   "--resource-blocks", "50"]
+
+    def test_unconverged_sweep_with_unwritable_out_reports_one_error(
+        self, capsys, tmp_path, loaded_scenario
+    ):
+        target = tmp_path / "missing" / "out.csv"
+        code = cli.main([*self.UNCONVERGED, "--scenario", loaded_scenario, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot write ")
+        assert captured.err.count("\n") == 1
+
+    def test_unconverged_sweep_notes_after_writing(self, monkeypatch, tmp_path, loaded_scenario):
+        target = tmp_path / "out.csv"
+        notes = []
+
+        class Stderr:
+            def write(self, text):
+                notes.append((text, target.exists() and target.stat().st_size > 0))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        code = cli.main([*self.UNCONVERGED, "--scenario", loaded_scenario, "--out", str(target)])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert len(target.read_text().splitlines()) > 2
+        text = "".join(t for t, _ in notes)
+        assert text.startswith("non-convergence: ") and text.count("\n") == 1
+        assert all(written for _, written in notes)
 
     def test_access_fraction_needs_one_closed_tier(self, capsys, loaded_scenario):
         code = cli.main(

@@ -321,6 +321,143 @@ class TestEstimateCoverageSystem:
             hc.estimate_coverage_system(self.fig5(), 1.0, 0, sim)
 
 
+def bincount_count_covered(network, load, r2, tier_idx, fade, act, trial_idx, batch):
+    """The flat SIR test the estimators used before the block engine: one
+    bincount per trial quantity over a batch of concatenated trials.
+    Returns (covered, empty)."""
+    power = np.array([t.power for t in network.tiers])
+    beta = np.array([t.target_sir for t in network.tiers])
+    delta = np.array([t.delta for t in network.tiers])
+    accessible = np.array([i in network.access for i in range(1, network.num_tiers + 1)])
+    signal = power[tier_idx] * fade * r2 ** (-network.alpha / 2.0)
+    interference = np.bincount(trial_idx, weights=np.where(act, signal, 0.0), minlength=batch)
+    per_point_interference = interference[trial_idx]
+    in_access = accessible[tier_idx]
+    if load == "conditional-thinning":
+        candidate = in_access
+        threshold = np.where(act, delta[tier_idx], beta[tier_idx])
+    elif load == "fully-loaded":
+        candidate = in_access & act
+        threshold = delta[tier_idx]
+    else:
+        candidate = in_access & ~act
+        threshold = beta[tier_idx]
+    hits = candidate & (signal >= threshold * per_point_interference)
+    covered = int(np.count_nonzero(np.bincount(trial_idx[hits], minlength=batch)))
+    candidates = np.bincount(trial_idx[candidate], minlength=batch)
+    return covered, int(np.count_nonzero(candidates == 0))
+
+
+def random_block(rng, num_tiers, trials):
+    """Per-tier (r2, fade, active, present) columns of random trials, many
+    of them empty, with random values in the padding slots."""
+    fields = []
+    for _ in range(num_tiers):
+        counts = rng.integers(0, 5, size=trials) * (rng.random(trials) < 0.4)
+        slots = int(counts.max()) + int(rng.integers(0, 3))
+        present = np.arange(slots)[:, None] < counts[None, :]
+        fields.append((
+            rng.uniform(0.01, 4.0, size=(slots, trials)),
+            rng.standard_exponential((slots, trials)),
+            rng.random((slots, trials)) < 0.5,
+            present,
+        ))
+    return fields
+
+
+class TestBlockEngine:
+    def net(self):
+        return hc.Network(
+            alpha=3.6,
+            tiers=(
+                hc.Tier(1.0, 1.0, 2.0, 0.6),
+                hc.Tier(0.1, 2.0, 0.8, 0.4),
+                hc.Tier(0.01, 3.0, 1.5, 0.7),
+            ),
+            access=[1, 3],
+        )
+
+    @pytest.mark.parametrize("load", mcsim.LOAD_MODES)
+    def test_column_reducer_matches_the_bincount_reducer(self, load):
+        net = self.net()
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            trials = int(rng.integers(1, 17))
+            fields = random_block(rng, net.num_tiers, trials)
+            flat = [
+                (r2[j, i], k, fade[j, i], active[j, i], i)
+                for i in range(trials)
+                for k, (r2, fade, active, present) in enumerate(fields)
+                for j in np.flatnonzero(present[:, i])
+            ]
+            columns = list(zip(*flat)) or [()] * 5
+            r2, tier_idx, fade, act, trial_idx = (
+                np.array(c, dtype=d) for c, d in zip(columns, (float, int, float, bool, int))
+            )
+            want = bincount_count_covered(net, load, r2, tier_idx, fade, act, trial_idx, trials)
+
+            def chunks():
+                # cut each tier at a random slot: chunking changes no sum
+                for k, field in enumerate(fields):
+                    cut = int(rng.integers(0, len(field[0]) + 1))
+                    yield (k, *(a[:cut] for a in field))
+                    yield (k, *(a[cut:] for a in field))
+
+            assert mcsim._count_covered(net, load, trials, chunks()) == (*want, len(flat))
+
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    def test_a_run_is_a_prefix_of_any_longer_run(self, placement):
+        net = two_tier(p1=0.5, p2=0.3)
+        covered = []
+        for n in range(1, 50):
+            sim = hc.SimConfig(trials=n, seed=43, window_radius=3.0)
+            est = hc.estimate_coverage(net, sim, placement=placement)
+            covered.append(round(est.mean * n))
+        steps = set(np.diff(covered).tolist())
+        assert steps == {0, 1}
+
+    def test_a_larger_window_holds_every_station_of_a_smaller_one(self, monkeypatch):
+        tier = hc.Tier(1.0, 2.0, 1.0, 0.4)
+
+        def stations(radius):
+            chunks = list(mcsim._poisson_tier(mcsim._block_rng(7, 3, 0), tier, radius, 16))
+            return [np.vstack(part) for part in zip(*chunks)]
+
+        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 16 * 7)  # chunks of 7 slots
+        small_r2, small_fade, small_active, small_present = stations(3.0)
+        large_r2, large_fade, large_active, large_present = stations(6.0)
+        for i in range(16):
+            n = int(np.count_nonzero(small_present[:, i]))
+            assert n > 0 and small_present[:n, i].all()
+            assert large_present[:n, i].all()
+            assert int(np.count_nonzero(large_present[:, i])) > n
+            np.testing.assert_array_equal(large_r2[:n, i], small_r2[:n, i])
+            np.testing.assert_array_equal(large_fade[:n, i], small_fade[:n, i])
+            np.testing.assert_array_equal(large_active[:n, i], small_active[:n, i])
+            assert small_r2[:n, i].max() <= 9.0 < large_r2[n, i]
+
+    def test_estimates_report_empty_trials_and_stations(self):
+        net = single_tier(density=0.05, activity=0.9)
+        sim = hc.SimConfig(trials=2000, seed=19, window_radius=1.0)
+        with pytest.warns(UserWarning, match="no candidate") as caught:
+            est = hc.estimate_coverage(net, sim)
+        assert str(caught[0].message).startswith(f"{est.empty_trials} of 2000 trials")
+        # a trial without stations cannot cover its user
+        assert est.mean <= 1.0 - est.empty_trials / sim.trials
+        expected = 0.05 * math.pi
+        assert abs(est.mean_stations_per_trial - expected) < 5.0 * math.sqrt(expected / 2000)
+
+    def test_system_estimate_reports_empty_trials_and_stations(self):
+        fig5 = TestEstimateCoverageSystem().fig5()
+        sim = hc.SimConfig(trials=400, seed=33, window_radius=0.15)
+        with pytest.warns(UserWarning, match="no candidate") as caught:
+            idle = hc.estimate_coverage_system(fig5, 0.0, 20, sim)
+        assert str(caught[0].message).startswith(f"{idle.empty_trials} of 400 trials")
+        assert idle.mean == (sim.trials - idle.empty_trials) / sim.trials
+        expected = 2.0 * math.pi * 0.15**2
+        assert abs(idle.mean_stations_per_trial - expected) < 5.0 * math.sqrt(expected / 400)
+
+
 def make_realization(positions, active, powers=None, radius=5.0, alpha=4.0):
     n = len(positions)
     return hc.Realization(
