@@ -37,6 +37,7 @@ from .mcsim import (
     PLACEMENTS,
     RASTER_MODES,
     SimConfig,
+    _estimate_loads,
     _trial_rng,
     coverage_region_raster,
     default_window_radius,
@@ -240,9 +241,9 @@ def _cmd_compare(network, args) -> tuple[str, int, str]:
     sim = _sim_config(args)
     analytic_ct = coverage(network, control)
     analytic = (analytic_ct, full_load_coverage(network), coverage_idle_only(network, control))
+    estimates = _estimate_loads(network, sim, "ppp", LOAD_MODES)
     rows = []
-    for load, result in zip(LOAD_MODES, analytic):
-        est = estimate_coverage(network, sim, load=load)
+    for load, result, est in zip(LOAD_MODES, analytic, estimates):
         delta = abs(result.value - est.mean)
         if est.stderr > 0.0:
             z = delta / est.stderr
@@ -442,7 +443,9 @@ def _add_sim_flags(parser, default_trials: int | None) -> None:
     parser.add_argument("--radius", type=_POSITIVE, default=None,
                         help="window radius (default derived from densities)")
     parser.add_argument("--min-points", type=_COUNT, default=500,
-                        help="edge-effect guard for the derived radius")
+                        help="expected stations of the sparsest tier in the "
+                             "derived window: max(500, value), so a value "
+                             "below 500 changes nothing (default 500)")
 
 
 @functools.cache

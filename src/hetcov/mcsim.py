@@ -2,20 +2,26 @@
 
 Provides the point-field samplers, the conditional-thinning coverage
 estimator, the detailed per-BS load simulation and the coverage-region
-rasteriser.  Estimators draw all randomness from counter-based streams:
-the coverage estimator keys one generator on (seed, block, tier) for each
-tier of each block of _BLOCK_TRIALS trials, the system simulation one on
-(seed, trial) for each trial.  Blocks are independent work units that
-return plain counts, summed in block order, so a result does not depend on
-the chunking or on the trial count of the run: trial t depends only on
-(seed, t), and a run of n trials is a prefix of any longer run with the
-same seed.  Blocks run one after another in the calling thread; see
-_BLOCK_TRIALS for why they are not spread over threads.
+rasteriser.  Estimators draw all randomness from counter-based streams.
+By the thinning theorem a tier's active and idle stations are independent
+Poisson fields of densities p * density and (1 - p) * density, so the
+coverage estimator draws them as two streams, keyed on (seed, block, tier,
+stream) for each tier of each block of _BLOCK_TRIALS trials.  A load draws
+only the streams it reads: the active stream always, the idle stream of an
+accessible tier only for a load with idle candidates, and one draw serves
+several loads.  The system simulation draws one stream per trial, keyed on
+(seed, trial).  Blocks are independent work units that return plain
+counts, summed in block order, so a result does not depend on the chunking
+or on the trial count of the run: trial t depends only on (seed, t), and a
+run of n trials is a prefix of any longer run with the same seed.  Blocks
+run one after another in the calling thread; see _BLOCK_TRIALS for why
+they are not spread over threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -44,9 +50,10 @@ PLACEMENTS = ("ppp", "hex-first-tier")
 LOAD_MODES = ("conditional-thinning", "fully-loaded", "idle-only")
 RASTER_MODES = ("full", "thinned-regions", "thinned-biased")
 
-# Stations per drawn chunk of a block: larger chunks page-fault fresh
-# arrays and fall out of cache, smaller ones add numpy calls.
-_POINT_BUDGET = 65_536
+# Stations per drawn chunk of a block: a stream reuses its chunk buffers,
+# and larger chunks fall out of cache (65,536 ran the 15,000-station window
+# 1.3-1.5x slower on a 2-core host), smaller ones add numpy calls.
+_POINT_BUDGET = 16_384
 # Trials per keyed generator.  Blocks run one after another: a block makes
 # some thirty short numpy calls per chunk, between which numpy holds the
 # interpreter lock.  On a 2-core host two threads gained 1.6x on the
@@ -92,7 +99,9 @@ class SimConfig:
 class Estimate:
     """Monte Carlo mean with its binomial standard error, the radius of the
     window the trials were sampled on, the number of trials that held no
-    candidate station and the mean number of stations a trial drew."""
+    candidate station, the mean number of stations a trial drew and the
+    mean interference from outside the window as a fraction of the mean
+    interference sampled inside it."""
 
     mean: float
     stderr: float
@@ -100,6 +109,7 @@ class Estimate:
     window_radius: float
     empty_trials: int
     mean_stations_per_trial: float
+    truncated_interference_bound: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,9 @@ class SystemEstimate:
     load diagnostics gathered on the way.
 
     tier_user_fraction is measured on users in the inner half of the window,
-    where association is unaffected by the window edge.
+    where association is unaffected by the window edge.  The
+    truncated_interference_bound takes its activities from
+    tier_mean_activity.
     """
 
     mean: float
@@ -120,6 +132,7 @@ class SystemEstimate:
     window_radius: float
     empty_trials: int
     mean_stations_per_trial: float
+    truncated_interference_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +164,11 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_rng(seed: int, block: int, tier: int) -> np.random.Generator:
-    """Counter-based stream for one tier of one block of _BLOCK_TRIALS
-    trials."""
+def _block_rng(seed: int, block: int, tier: int, stream: int) -> np.random.Generator:
+    """Counter-based stream for one stream (0 active, 1 idle) of one tier of
+    one block of _BLOCK_TRIALS trials."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, block, tier]))
+        np.random.PCG64(np.random.SeedSequence([seed, block, tier, stream]))
     )
 
 
@@ -164,17 +177,35 @@ def _map_blocks(task, trials: int) -> list:
     return [task(b) for b in range(-(-trials // _BLOCK_TRIALS))]
 
 
+def _truncation_bound(
+    network: Network, activities, radius: float, interference: float
+) -> float:
+    """Mean interference from outside the window, sum_i p_i lambda_i P_i *
+    2 pi R^(2 - alpha) / (alpha - 2) with unit-mean fading, over the mean
+    interference sampled inside it (inf when none was sampled)."""
+    alpha = network.alpha
+    outside = sum(
+        p * t.density * t.power for p, t in zip(activities, network.tiers)
+    ) * (2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0))
+    if interference > 0.0:
+        return outside / interference
+    return math.inf if outside > 0.0 else 0.0
+
+
 def _binomial_estimate(
-    successes: int, trials: int, radius: float, empty: int, stations: int
+    successes: int, trials: int, radius: float, empty: int, stations: int, bound: float
 ) -> Estimate:
     """The estimate of successes in trials; warns when more than 0.1% of the
-    trials held no candidate station.  Call it from the estimator itself, so
-    the warning names the estimator's caller."""
+    trials held no candidate station.  The warning names the first caller
+    outside this module, however deep the estimator's own calls go."""
     if empty > 0.001 * trials:
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{empty} of {trials} trials had no candidate station "
             "in the window; enlarge the window or densities",
-            stacklevel=3,
+            stacklevel=level,
         )
     mean = successes / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
@@ -185,6 +216,7 @@ def _binomial_estimate(
         window_radius=radius,
         empty_trials=empty,
         mean_stations_per_trial=stations / trials,
+        truncated_interference_bound=bound,
     )
 
 
@@ -265,10 +297,11 @@ def _sample_field(
     network: Network, radius: float, rng: np.random.Generator, placement: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One base-station field on the disc: (positions, 0-based tier index,
-    fading, activity uniforms), drawn tier by tier."""
+    fading, activity uniforms), drawn tier by tier.  A lattice tier of zero
+    density is empty, as a Poisson tier of zero density is."""
     positions, tiers, fading, uniforms = [], [], [], []
     for index, tier in enumerate(network.tiers):
-        if placement == "hex-first-tier" and index == 0:
+        if placement == "hex-first-tier" and index == 0 and tier.density > 0.0:
             pts = sample_hex_grid(tier.density, radius, rng)
         else:
             pts = sample_ppp(tier.density, radius, rng)
@@ -308,91 +341,113 @@ def draw_realization(
     )
 
 
-def _count_covered(
-    network: Network, load: str, trials: int, chunks
-) -> tuple[int, int, int]:
-    """(covered, empty, stations) over a group of trials laid out as columns.
+def _count_covered(network: Network, loads, trials: int, chunks):
+    """Per-load (covered, empty, stations) over a group of trials laid out
+    as columns, and the in-window interference summed over the trials.
 
-    chunks yields (tier, r2, fade, active, present), arrays of shape
-    (slots, trials): slot j of column i holds a station of that tier in
-    trial i where present is set, and padding (finite, with r2 > 0)
-    elsewhere.  A trial's centre user is covered when a candidate of the
-    load rule (see estimate_coverage) clears its tier target, signal >=
-    threshold * interference, that is when the largest signal / threshold
-    over the candidates reaches the interference; a trial without any
-    candidate counts as empty.  The interference is summed slot by slot in
-    chunk order, so cutting a tier's slots into more chunks changes no sum.
+    chunks yields (tier, active, r2, fade, present): active says whether
+    the chunk holds active or idle stations, and r2, fade and present are
+    arrays of shape (slots, trials): slot j of column i holds a station of
+    that tier in trial i where present is set, and padding (finite, with
+    r2 > 0) elsewhere.  Per trial the reducer keeps the interference of the
+    active stations, the largest accessible active signal / delta, the
+    largest accessible idle signal / target SIR, whether either kind of
+    candidate was found and the station count per kind.  A load then covers
+    the centre user when a candidate it admits (see estimate_coverage)
+    clears its tier target, signal >= threshold * interference, that is
+    when the largest signal / threshold over those candidates reaches the
+    interference; a trial without any such candidate counts as empty.  A
+    load's stations are the active ones, plus the idle ones if it admits
+    idle candidates.  The interference is summed slot by slot in chunk
+    order, so cutting a chunk's slots into more chunks changes no sum.
     """
-    interference = np.zeros((1, trials))
-    best = np.zeros(trials)
-    found = np.zeros(trials, dtype=bool)
-    stations = 0
-    for k, r2, fade, active, present in chunks:
-        stations += int(np.count_nonzero(present))
-        tier = network.tiers[k]
-        signal = tier.power * fade * r2 ** (-network.alpha / 2.0)
-        on = present & active
-        heard = signal * on
-        interference = np.add.reduce(np.vstack((interference, heard)), axis=0, keepdims=True)
-        if k + 1 not in network.access:
+    interference = np.zeros(trials)
+    best = np.zeros((2, trials))  # [active, idle]
+    found = np.zeros((2, trials), dtype=bool)
+    stations = [0, 0]
+    for k, active, r2, fade, present in chunks:
+        kind = 0 if active else 1
+        stations[kind] += int(np.count_nonzero(present))
+        accessible = k + 1 in network.access
+        if not (active or accessible) or not len(r2):
             continue
-        # signals are non-negative, so zeroing the non-candidates leaves the
-        # largest candidate signal; dividing by the threshold keeps the order
-        if load != "idle-only":  # active candidates
-            best = np.maximum(best, heard.max(axis=0, initial=0.0) / tier.delta)
-            found |= on.any(axis=0)
-        if load != "fully-loaded":  # idle candidates
-            off = present & ~active
-            best = np.maximum(best, (signal * off).max(axis=0, initial=0.0) / tier.target_sir)
-            found |= off.any(axis=0)
-    covered = int(np.count_nonzero(found & (best >= interference[0])))
-    return covered, trials - int(np.count_nonzero(found)), stations
+        tier = network.tiers[k]
+        signal = np.multiply(fade, tier.power)
+        signal *= r2 ** (-network.alpha / 2.0)
+        signal *= present
+        if accessible:
+            # signals are non-negative, so zeroing the slots without a
+            # station leaves the largest candidate signal; dividing by the
+            # threshold keeps the order
+            threshold = tier.delta if active else tier.target_sir
+            np.maximum(best[kind], signal.max(axis=0) / threshold, out=best[kind])
+            found[kind] |= present.any(axis=0)
+        if active:
+            # carrying the running sum in the first slot sums slot by slot
+            signal[0] += interference
+            np.add.reduce(signal, axis=0, out=interference)
+    counts = []
+    for load in loads:
+        admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
+        hit = found[admits].any(axis=0)
+        covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
+        empty = trials - int(np.count_nonzero(hit))
+        counts.append((covered, empty, stations[0] + stations[1] * admits[1]))
+    return counts, float(interference.sum())
 
 
-def _poisson_tier(rng: np.random.Generator, tier, radius: float, trials: int):
-    """Chunks (r2, fade, active, present) of one Poisson tier for the first
-    `trials` columns of a block, nearest station first.
+def _poisson_tier(rng: np.random.Generator, density: float, radius: float, trials: int):
+    """Chunks (r2, fade, present) of a Poisson field of the given density
+    for the first `trials` columns of a block, nearest station first.
 
-    Slot j of trial i reads row (j, i) of the block's (slots, _BLOCK_TRIALS,
-    3) uniforms: an exponential gap of unit-rate arrivals whose running sum
-    G gives r2 = G / (pi * density), the fading and the active mark.  A
+    Slot j of trial i reads row (j, i) of the block's (slots,
+    _BLOCK_TRIALS, 2) uniforms: an exponential gap of unit-rate arrivals
+    whose running sum G gives r2 = G / (pi * density), and the fading.  A
     station is in the window while G <= pi * density * radius^2.  A row
     thus belongs to one (trial, rank) whatever the radius or the number of
     trials, and a larger window holds every station of a smaller one.  Rows
     are drawn in chunks of at most _POINT_BUDGET stations, about three
     standard deviations past the mean count, and on until every trial has
-    left the window.
+    left the window.  The chunks share their buffers, so a chunk holds
+    until the next one is drawn.
     """
-    mean = math.pi * tier.density * radius * radius
+    mean = math.pi * density * radius * radius
     margin = math.ceil(3.0 * math.sqrt(mean)) + 1
     most = max(1, _POINT_BUDGET // _BLOCK_TRIALS)
     drawn, target = 0, math.ceil(mean) + margin
-    arrival = np.zeros((1, trials))
+    size = min(most, target)  # no later chunk is larger than the first
+    rows = np.empty((size, _BLOCK_TRIALS, 2))
+    # row 0 carries the running sum of the previous chunk
+    arrival = np.zeros((size + 1, trials))
+    r2, fade = np.empty((size, trials)), np.empty((size, trials))
+    present = np.empty((size, trials), dtype=bool)
     while True:
         count = min(most, target - drawn)
-        rows = rng.random((count, _BLOCK_TRIALS, 3))[:, :trials]
-        gaps = -np.log1p(-rows[:, :, 0])
-        # the carried row keeps every running sum in slot order
-        arrival = np.cumsum(np.vstack((arrival[-1:], gaps)), axis=0)[1:]
-        present = arrival <= mean
-        yield (
-            arrival / (math.pi * tier.density),
-            -np.log1p(-rows[:, :, 1]),
-            rows[:, :, 2] < tier.activity,
-            present,
-        )
-        if not present[-1].any():
+        uniforms = rng.random(out=rows[:count])[:, :trials]
+        head, chunk = arrival[: count + 1], arrival[1 : count + 1]
+        for out, column in ((chunk, 0), (fade[:count], 1)):  # -log(1 - u)
+            np.negative(uniforms[:, :, column], out=out)
+            np.log1p(out, out=out)
+            np.negative(out, out=out)
+        # the gaps become arrivals, carried on from the previous chunk
+        np.cumsum(head, axis=0, out=head)
+        np.divide(chunk, math.pi * density, out=r2[:count])
+        np.less_equal(chunk, mean, out=present[:count])
+        yield r2[:count], fade[:count], present[:count]
+        if not present[count - 1].any():
             return
+        head[0] = head[count]
         drawn += count
         if drawn == target:
             target += margin
 
 
 def _lattice_tier(rng: np.random.Generator, tier, radius: float, trials: int):
-    """The one chunk (r2, fade, active, present) of a hexagonal tier for the
-    first `trials` columns of a block: the block draws _BLOCK_TRIALS lattice
+    """(r2, fade, active, present) of a hexagonal tier for the first
+    `trials` columns of a block: the block draws _BLOCK_TRIALS lattice
     offsets, then one row of (fading, active) uniforms per site in the disc,
-    trial by trial."""
+    trial by trial, so one generator serves the active and the idle
+    sites."""
     x, y = _hex_sites(tier.density, radius, rng.random((_BLOCK_TRIALS, 2))[:trials])
     r2 = x * x + y * y
     present = r2 <= radius * radius
@@ -401,7 +456,57 @@ def _lattice_tier(rng: np.random.Generator, tier, radius: float, trials: int):
     fade[present] = -np.log1p(-rows[:, 0])
     active = np.zeros(r2.shape, dtype=bool)
     active[present] = rows[:, 1] < tier.activity
-    yield r2.T, fade.T, active.T, present.T
+    return tuple(np.ascontiguousarray(a.T) for a in (r2, fade, active, present))
+
+
+def _estimate_loads(
+    network: Network, sim: SimConfig, placement: str, loads
+) -> list[Estimate]:
+    """estimate_coverage for each of several loads from one draw; each
+    Estimate equals the one estimate_coverage gives on its load alone,
+    since no stream's key or content depends on the loads requested."""
+    radius = sim.window_radius or default_window_radius(
+        network, sim.min_expected_points
+    )
+    with_idle = any(load != "fully-loaded" for load in loads)
+
+    def chunks(b: int, trials: int):
+        for k, tier in enumerate(network.tiers):
+            if not tier.density > 0.0:
+                continue
+            idle = with_idle and k + 1 in network.access
+            if placement == "hex-first-tier" and k == 0:
+                r2, fade, active, present = _lattice_tier(
+                    _block_rng(sim.seed, b, k, 0), tier, radius, trials
+                )
+                yield k, True, r2, fade, present & active
+                if idle:
+                    yield k, False, r2, fade, present & ~active
+                continue
+            shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
+            for stream, share in enumerate(shares):
+                if not share > 0.0:
+                    continue
+                rng = _block_rng(sim.seed, b, k, stream)
+                for chunk in _poisson_tier(rng, share * tier.density, radius, trials):
+                    yield (k, stream == 0, *chunk)
+
+    def block(b: int):
+        trials = min(_BLOCK_TRIALS, sim.trials - b * _BLOCK_TRIALS)
+        return _count_covered(network, loads, trials, chunks(b, trials))
+
+    blocks = _map_blocks(block, sim.trials)
+    interference = sum(total for _, total in blocks)
+    bound = _truncation_bound(
+        network, [t.activity for t in network.tiers], radius, interference / sim.trials
+    )
+    estimates = []
+    for counts in zip(*(per_load for per_load, _ in blocks)):
+        covered, empty, stations = map(sum, zip(*counts))
+        estimates.append(
+            _binomial_estimate(covered, sim.trials, radius, empty, stations, bound)
+        )
+    return estimates
 
 
 def estimate_coverage(
@@ -412,12 +517,12 @@ def estimate_coverage(
 ) -> Estimate:
     """Coverage probability of a typical user at the window centre.
 
-    Per trial every tier is sampled on the disc and partitioned into active
-    and idle stations.  The user is covered when any accessible candidate
-    clears its tier target: an active candidate against the remaining active
-    power, an idle candidate against the whole active field.  No
-    single-candidate assumption is involved, so the estimator is a valid
-    oracle for targets at and below 0 dB as well.
+    Per trial every tier's active and idle stations are sampled on the disc.
+    The user is covered when any accessible candidate clears its tier
+    target: an active candidate against the remaining active power, an idle
+    candidate against the whole active field.  No single-candidate
+    assumption is involved, so the estimator is a valid oracle for targets
+    at and below 0 dB as well.
 
     load selects the candidate rule: "conditional-thinning" admits active
     and idle candidates (the load-aware model), "fully-loaded" drops the
@@ -425,36 +530,24 @@ def estimate_coverage(
     "idle-only" admits only idle candidates against the active field.
 
     Only the distances to the origin matter to the test, so stations never
-    get positions.  Each (block, tier) pair draws from its own generator:
-    a Poisson tier its stations in order of distance (_poisson_tier), so
-    runs that differ only in the window radius share every station they
-    both hold; "hex-first-tier" draws its lattice (_lattice_tier).
+    get positions.  The active and idle stations of a Poisson tier are
+    independent Poisson fields of densities p * density and (1 - p) *
+    density, and each (block, tier, stream) draws from its own generator,
+    its stations in order of distance (_poisson_tier), so runs that differ
+    only in the window radius share every station they both hold.  The
+    idle stream is drawn only for an accessible tier under a load with idle
+    candidates, and no key depends on the load or the access set, so the
+    fully-loaded estimate never exceeds the conditional-thinning one with
+    the same seed, nor closed access open access.  "hex-first-tier" draws
+    its lattice with its marks (_lattice_tier).  A tier of zero density is
+    empty in both placements.
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     if load not in LOAD_MODES:
         raise ValueError(f"load must be one of {LOAD_MODES}, got {load!r}")
-    radius = sim.window_radius or default_window_radius(
-        network, sim.min_expected_points
-    )
-
-    def chunks(b: int, trials: int):
-        for k, tier in enumerate(network.tiers):
-            if placement == "hex-first-tier" and k == 0:
-                sampler = _lattice_tier
-            elif tier.density > 0.0:
-                sampler = _poisson_tier
-            else:
-                continue
-            for chunk in sampler(_block_rng(sim.seed, b, k), tier, radius, trials):
-                yield (k, *chunk)
-
-    def block(b: int) -> tuple[int, int, int]:
-        trials = min(_BLOCK_TRIALS, sim.trials - b * _BLOCK_TRIALS)
-        return _count_covered(network, load, trials, chunks(b, trials))
-
-    covered, empty, stations = map(sum, zip(*_map_blocks(block, sim.trials)))
-    return _binomial_estimate(covered, sim.trials, radius, empty, stations)
+    (estimate,) = _estimate_loads(network, sim, placement, (load,))
+    return estimate
 
 
 def estimate_coverage_system(
@@ -519,35 +612,40 @@ def estimate_coverage_system(
         return per_tier, fraction, activity_sum, counts_per_tier
 
     def block(b: int):
-        """(covered, empty, stations) of block b and its trials' diagnostics."""
+        """((covered, empty, stations), in-window interference) of block b
+        and its trials' diagnostics."""
         first = b * _BLOCK_TRIALS
         drawn = [trial(t) for t in range(first, min(first + _BLOCK_TRIALS, sim.trials))]
 
         def chunks():
-            # tier k of trial i fills column i; the padding of ones keeps
-            # every padded signal finite
+            # tier k of trial i fills column i, handed over as its active
+            # and its idle stations; the padding of ones keeps every padded
+            # signal finite
             for k in range(K):
                 parts = [d[0][k] for d in drawn]
                 counts = np.array([len(part[0]) for part in parts])
                 present = np.arange(counts.max())[:, None] < counts
-                columns = []
-                for values in zip(*parts):
-                    column = np.ones(present.shape, dtype=values[0].dtype)
+                r2, fade, active = (np.ones(present.shape, dtype=v.dtype) for v in parts[0])
+                for column, values in zip((r2, fade, active), zip(*parts)):
                     column.T[present.T] = np.concatenate(values)
-                    columns.append(column)
-                yield (k, *columns, present)
+                yield k, True, r2, fade, present & active
+                yield k, False, r2, fade, present & ~active
 
-        counts = _count_covered(network, "conditional-thinning", len(drawn), chunks())
-        return counts, [d[1:] for d in drawn]
+        (counts,), interference = _count_covered(
+            network, ("conditional-thinning",), len(drawn), chunks()
+        )
+        return counts, interference, [d[1:] for d in drawn]
 
     covered = empty = stations = 0
+    interference = 0.0
     fractions: list[np.ndarray] = []
     activity_sums = np.zeros(K)
     activity_counts = np.zeros(K, dtype=np.int64)
-    for (hits, misses, seen), trials in _map_blocks(block, sim.trials):
+    for (hits, misses, seen), heard, trials in _map_blocks(block, sim.trials):
         covered += hits
         empty += misses
         stations += seen
+        interference += heard
         for fraction, activity_sum, counts_per_tier in trials:
             if fraction is not None:
                 fractions.append(fraction)
@@ -567,8 +665,9 @@ def estimate_coverage_system(
         out=np.zeros(K),
         where=activity_counts > 0,
     )
+    bound = _truncation_bound(network, mean_activity, radius, interference / sim.trials)
     return SystemEstimate(
-        **vars(_binomial_estimate(covered, sim.trials, radius, empty, stations)),
+        **vars(_binomial_estimate(covered, sim.trials, radius, empty, stations, bound)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),

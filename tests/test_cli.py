@@ -368,6 +368,7 @@ class TestSimulateCommand:
         code, report = run_json(capsys, argv)
         assert code == cli.EXIT_OK
         assert report["empty_trials"] == 0
+        assert 0.0 < report["truncated_interference_bound"] < 1.0
         # 3 stations per unit area on a disc of radius 3
         assert 3.0 * math.pi * 9.0 * 0.8 < report["mean_stations_per_trial"] < 3.0 * math.pi * 9.0 * 1.2
 
@@ -384,6 +385,22 @@ class TestSimulateCommand:
         assert code == cli.EXIT_OK
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["trials"] == 5
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--trials", "5"],
+        ["raster", "--resolution", "5", "--dump-realization", os.devnull],
+    ])
+    def test_empty_lattice_tier_is_an_empty_tier(self, capsys, tmp_path, command):
+        tiers = [
+            {"power": 1.0, "density": 0.0, "target_sir_db": 2.0, "activity": 0.5},
+            {"power": 0.1, "density": 1.0, "target_sir_db": 2.0, "activity": 0.5},
+        ]
+        scenario = write_scenario(tmp_path / "empty.json", {"alpha": 3.8, "tiers": tiers})
+        code = cli.main([*command, "--scenario", scenario, "--placement", "hex-first-tier"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert captured.err == ""
+        assert captured.out
 
 class TestSweepCommand:
     def test_density_sweep_is_flat_for_matched_activities(self, capsys, tmp_path):

@@ -348,6 +348,13 @@ def bincount_count_covered(network, load, r2, tier_idx, fade, act, trial_idx, ba
     return covered, int(np.count_nonzero(candidates == 0))
 
 
+def bincount_interference(network, r2, tier_idx, fade, act, trial_idx, batch):
+    """Active interference at the centre, summed over a batch of trials."""
+    power = np.array([t.power for t in network.tiers])
+    signal = power[tier_idx] * fade * r2 ** (-network.alpha / 2.0)
+    return float(np.bincount(trial_idx, weights=np.where(act, signal, 0.0), minlength=batch).sum())
+
+
 def random_block(rng, num_tiers, trials):
     """Per-tier (r2, fade, active, present) columns of random trials, many
     of them empty, with random values in the padding slots."""
@@ -395,15 +402,22 @@ class TestBlockEngine:
                 np.array(c, dtype=d) for c, d in zip(columns, (float, int, float, bool, int))
             )
             want = bincount_count_covered(net, load, r2, tier_idx, fade, act, trial_idx, trials)
+            # a fully-loaded estimate counts the active stations only
+            stations = int(np.count_nonzero(act)) if load == "fully-loaded" else len(flat)
+            heard = bincount_interference(net, r2, tier_idx, fade, act, trial_idx, trials)
 
             def chunks():
-                # cut each tier at a random slot: chunking changes no sum
-                for k, field in enumerate(fields):
-                    cut = int(rng.integers(0, len(field[0]) + 1))
-                    yield (k, *(a[:cut] for a in field))
-                    yield (k, *(a[cut:] for a in field))
+                # each tier as its active and its idle stations, each cut at
+                # a random slot: chunking changes no sum
+                for k, (r2, fade, active, present) in enumerate(fields):
+                    for is_active, mask in ((True, present & active), (False, present & ~active)):
+                        cut = int(rng.integers(0, len(r2) + 1))
+                        for part in (slice(None, cut), slice(cut, None)):
+                            yield k, is_active, r2[part], fade[part], mask[part]
 
-            assert mcsim._count_covered(net, load, trials, chunks()) == (*want, len(flat))
+            got, interference = mcsim._count_covered(net, (load,), trials, chunks())
+            assert got == [(*want, stations)]
+            assert interference == pytest.approx(heard, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
     def test_a_run_is_a_prefix_of_any_longer_run(self, placement):
@@ -416,16 +430,25 @@ class TestBlockEngine:
         steps = set(np.diff(covered).tolist())
         assert steps == {0, 1}
 
-    def test_a_larger_window_holds_every_station_of_a_smaller_one(self, monkeypatch):
-        tier = hc.Tier(1.0, 2.0, 1.0, 0.4)
+    @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
+    def test_a_larger_window_holds_every_station_of_a_smaller_one(
+        self, monkeypatch, stream, density
+    ):
+        # the active (0) and idle (1) streams of a tier of density 2 at
+        # activity 0.4
 
         def stations(radius):
-            chunks = list(mcsim._poisson_tier(mcsim._block_rng(7, 3, 0), tier, radius, 16))
+            rng = mcsim._block_rng(7, 3, 0, stream)
+            # a chunk holds until the next one is drawn, so copy each
+            chunks = [
+                [a.copy() for a in chunk]
+                for chunk in mcsim._poisson_tier(rng, density, radius, 16)
+            ]
             return [np.vstack(part) for part in zip(*chunks)]
 
         monkeypatch.setattr(mcsim, "_POINT_BUDGET", 16 * 7)  # chunks of 7 slots
-        small_r2, small_fade, small_active, small_present = stations(3.0)
-        large_r2, large_fade, large_active, large_present = stations(6.0)
+        small_r2, small_fade, small_present = stations(3.0)
+        large_r2, large_fade, large_present = stations(6.0)
         for i in range(16):
             n = int(np.count_nonzero(small_present[:, i]))
             assert n > 0 and small_present[:n, i].all()
@@ -433,7 +456,6 @@ class TestBlockEngine:
             assert int(np.count_nonzero(large_present[:, i])) > n
             np.testing.assert_array_equal(large_r2[:n, i], small_r2[:n, i])
             np.testing.assert_array_equal(large_fade[:n, i], small_fade[:n, i])
-            np.testing.assert_array_equal(large_active[:n, i], small_active[:n, i])
             assert small_r2[:n, i].max() <= 9.0 < large_r2[n, i]
 
     def test_estimates_report_empty_trials_and_stations(self):
@@ -442,6 +464,7 @@ class TestBlockEngine:
         with pytest.warns(UserWarning, match="no candidate") as caught:
             est = hc.estimate_coverage(net, sim)
         assert str(caught[0].message).startswith(f"{est.empty_trials} of 2000 trials")
+        assert caught[0].filename == __file__
         # a trial without stations cannot cover its user
         assert est.mean <= 1.0 - est.empty_trials / sim.trials
         expected = 0.05 * math.pi
@@ -453,9 +476,53 @@ class TestBlockEngine:
         with pytest.warns(UserWarning, match="no candidate") as caught:
             idle = hc.estimate_coverage_system(fig5, 0.0, 20, sim)
         assert str(caught[0].message).startswith(f"{idle.empty_trials} of 400 trials")
+        assert caught[0].filename == __file__
         assert idle.mean == (sim.trials - idle.empty_trials) / sim.trials
         expected = 2.0 * math.pi * 0.15**2
         assert abs(idle.mean_stations_per_trial - expected) < 5.0 * math.sqrt(expected / 400)
+
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    def test_one_draw_serves_every_load(self, placement):
+        # closed access: tier 2's idle stations are never drawn
+        net = hc.Network(
+            alpha=3.8, tiers=(hc.Tier(1.0, 1.0, 2.0, 0.7), hc.Tier(0.05, 3.0, 1.5, 0.4)),
+            access=[1],
+        )
+        sim = hc.SimConfig(trials=150, seed=44)
+        shared = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        alone = [hc.estimate_coverage(net, sim, placement, load) for load in mcsim.LOAD_MODES]
+        assert shared == alone
+        ct, fl, idle = alone
+        assert fl.mean <= ct.mean and idle.mean <= ct.mean
+        assert fl.mean_stations_per_trial < ct.mean_stations_per_trial
+
+    def test_fully_loaded_draws_the_active_stations_only(self):
+        net = two_tier(p1=0.5, p2=0.3)
+        sim = hc.SimConfig(trials=400, seed=45)
+        est = hc.estimate_coverage(net, sim, load="fully-loaded")
+        expected = sum(t.activity * t.density for t in net.tiers) * math.pi * est.window_radius**2
+        assert abs(est.mean_stations_per_trial - expected) < 5.0 * math.sqrt(expected / 400)
+
+    def test_truncated_interference_bound(self):
+        net = single_tier(target_sir=2.0, activity=0.6)
+        small = hc.estimate_coverage(net, hc.SimConfig(trials=200, seed=46))
+        large = hc.estimate_coverage(
+            net, hc.SimConfig(trials=200, seed=46, window_radius=2.0 * small.window_radius)
+        )
+        # the larger window holds every active station of the smaller one,
+        # so at least as much interference, and leaves 2^(2 - alpha) = 1/4 of
+        # its outside interference
+        assert 0.0 < large.truncated_interference_bound
+        assert large.truncated_interference_bound <= small.truncated_interference_bound / 4.0
+        assert small.truncated_interference_bound < 0.05
+
+    def test_system_bound_uses_the_measured_activity(self):
+        fig5 = TestEstimateCoverageSystem().fig5()
+        sim = hc.SimConfig(trials=20, seed=47, window_radius=5.0)
+        idle = hc.estimate_coverage_system(fig5, 0.0, 20, sim)
+        assert idle.truncated_interference_bound == 0.0  # nothing transmits
+        loaded = hc.estimate_coverage_system(fig5, 8.0, 10, sim)
+        assert 0.0 < loaded.truncated_interference_bound < math.inf
 
 
 def make_realization(positions, active, powers=None, radius=5.0, alpha=4.0):
