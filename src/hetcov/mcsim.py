@@ -9,7 +9,11 @@ coverage estimator draws them as two streams, keyed on (seed, block, tier,
 stream) for each tier of each block of _BLOCK_TRIALS trials.  A load draws
 only the streams it reads: the active stream always, the idle stream of an
 accessible tier only for a load with idle candidates, and one draw serves
-several loads.  The system simulation draws one stream per trial, keyed on
+several loads.  An idle station never interferes and counts only through
+the largest idle signal of its tier, so an idle stream stops where no
+further station can raise that signal (the fade is bounded, _FADE_MAX):
+the idle stations past that cutoff are counted, not placed.  The system
+simulation draws one stream per trial, keyed on
 (seed, trial).  Blocks are independent work units that return plain
 counts, summed in block order, so a result does not depend on the chunking
 or on the trial count of the run: trial t depends only on (seed, t), and a
@@ -61,6 +65,11 @@ _POINT_BUDGET = 16_384
 # process the benchmark ran slower on two threads than on one, and its
 # command times followed the neighbour's load.
 _BLOCK_TRIALS = 16
+# Rows per step of an idle stream, which stops at its cutoff (_poisson_tier).
+_IDLE_STEP = 32
+# A fade is -log1p(-u) of a uniform u <= 1 - 2^-53, so at most 53 ln 2; the
+# margin covers the rounding of the signals compared against it.
+_FADE_MAX = -math.log1p(-math.nextafter(1.0, 0.0)) * (1.0 + 1e-9)
 _UINT64_MASK = (1 << 64) - 1
 
 
@@ -99,9 +108,12 @@ class SimConfig:
 class Estimate:
     """Monte Carlo mean with its binomial standard error, the radius of the
     window the trials were sampled on, the number of trials that held no
-    candidate station, the mean number of stations a trial drew and the
-    mean interference from outside the window as a fraction of the mean
-    interference sampled inside it."""
+    candidate station, the mean number of stations in a trial's window
+    that the load reads, and the mean interference from outside the window
+    as a fraction of the median per-trial interference sampled inside it.
+
+    The station count includes the idle stations past an idle stream's
+    cutoff, which are counted, not placed (_poisson_tier)."""
 
     mean: float
     stderr: float
@@ -178,17 +190,21 @@ def _map_blocks(task, trials: int) -> list:
 
 
 def _truncation_bound(
-    network: Network, activities, radius: float, interference: float
+    network: Network, activities, radius: float, interference: np.ndarray
 ) -> float:
     """Mean interference from outside the window, sum_i p_i lambda_i P_i *
-    2 pi R^(2 - alpha) / (alpha - 2) with unit-mean fading, over the mean
-    interference sampled inside it (inf when none was sampled)."""
+    2 pi R^(2 - alpha) / (alpha - 2) with unit-mean fading, over the median
+    of the per-trial interference sampled inside it (inf when that median
+    is 0).  The median, not the mean: under the singular path loss the
+    in-window interference has no finite mean, so its sample mean would
+    follow the rare trials with a station next to the centre."""
     alpha = network.alpha
     outside = sum(
         p * t.density * t.power for p, t in zip(activities, network.tiers)
     ) * (2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0))
-    if interference > 0.0:
-        return outside / interference
+    median = float(np.median(interference))
+    if median > 0.0:
+        return outside / median
     return math.inf if outside > 0.0 else 0.0
 
 
@@ -343,13 +359,15 @@ def draw_realization(
 
 def _count_covered(network: Network, loads, trials: int, chunks):
     """Per-load (covered, empty, stations) over a group of trials laid out
-    as columns, and the in-window interference summed over the trials.
+    as columns, and the in-window interference of each trial.
 
-    chunks yields (tier, active, r2, fade, present): active says whether
-    the chunk holds active or idle stations, and r2, fade and present are
-    arrays of shape (slots, trials): slot j of column i holds a station of
-    that tier in trial i where present is set, and padding (finite, with
-    r2 > 0) elsewhere.  Per trial the reducer keeps the interference of the
+    chunks yields (tier, active, r2, fade, present, unplaced): active says
+    whether the chunk holds active or idle stations, and r2, fade and
+    present are arrays of shape (slots, trials): slot j of column i holds a
+    station of that tier in trial i where present is set, and padding
+    (finite, with r2 > 0) elsewhere; unplaced is 0 or the per-trial
+    numbers of further stations of the chunk's kind, counted but not
+    placed.  Per trial the reducer keeps the interference of the
     active stations, the largest accessible active signal / delta, the
     largest accessible idle signal / target SIR, whether either kind of
     candidate was found and the station count per kind.  A load then covers
@@ -365,9 +383,9 @@ def _count_covered(network: Network, loads, trials: int, chunks):
     best = np.zeros((2, trials))  # [active, idle]
     found = np.zeros((2, trials), dtype=bool)
     stations = [0, 0]
-    for k, active, r2, fade, present in chunks:
+    for k, active, r2, fade, present, unplaced in chunks:
         kind = 0 if active else 1
-        stations[kind] += int(np.count_nonzero(present))
+        stations[kind] += int(np.count_nonzero(present) + np.sum(unplaced))
         accessible = k + 1 in network.access
         if not (active or accessible) or not len(r2):
             continue
@@ -393,37 +411,61 @@ def _count_covered(network: Network, loads, trials: int, chunks):
         covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
         empty = trials - int(np.count_nonzero(hit))
         counts.append((covered, empty, stations[0] + stations[1] * admits[1]))
-    return counts, float(interference.sum())
+    return counts, interference
 
 
-def _poisson_tier(rng: np.random.Generator, density: float, radius: float, trials: int):
-    """Chunks (r2, fade, present) of a Poisson field of the given density
-    for the first `trials` columns of a block, nearest station first.
+def _poisson_tier(
+    rng: np.random.Generator, density: float, radius: float, trials: int,
+    alpha: float | None = None,
+):
+    """Chunks (r2, fade, present, unplaced) of a Poisson field of the given
+    density for the first `trials` columns of a block, nearest station
+    first.
 
     Slot j of trial i reads row (j, i) of the block's (slots,
     _BLOCK_TRIALS, 2) uniforms: an exponential gap of unit-rate arrivals
     whose running sum G gives r2 = G / (pi * density), and the fading.  A
     station is in the window while G <= pi * density * radius^2.  A row
     thus belongs to one (trial, rank) whatever the radius or the number of
-    trials, and a larger window holds every station of a smaller one.  Rows
-    are drawn in chunks of at most _POINT_BUDGET stations, about three
-    standard deviations past the mean count, and on until every trial has
-    left the window.  The chunks share their buffers, so a chunk holds
-    until the next one is drawn.
+    trials, and a larger window holds every station of a smaller one.  The
+    chunks share their buffers, so a chunk holds until the next one is
+    drawn.
+
+    Without alpha (an active stream, read in full) rows are drawn in
+    chunks of at most _POINT_BUDGET stations, about three standard
+    deviations past the mean count, and on until every trial has left the
+    window; unplaced is 0.
+
+    With alpha (an idle stream, read only for its largest signal) rows are
+    drawn in steps of _IDLE_STEP for all _BLOCK_TRIALS columns, so that
+    when the stream stops does not depend on the number of trials.  A
+    fade is at most _FADE_MAX, so a station beyond r2 can beat a column's
+    largest fade * r2^(-alpha/2) so far only while _FADE_MAX *
+    r2^(-alpha/2) exceeds it; the stream stops after the first step whose
+    last row leaves no column such a chance inside the window.  Arrivals
+    being memoryless, the in-window stations past the last arrival G of
+    a column are then Poisson(pi * density * radius^2 - G) in number:
+    their counts are drawn from the same generator for all columns, and
+    the last chunk's unplaced holds those of the first `trials`.
     """
     mean = math.pi * density * radius * radius
-    margin = math.ceil(3.0 * math.sqrt(mean)) + 1
-    most = max(1, _POINT_BUDGET // _BLOCK_TRIALS)
-    drawn, target = 0, math.ceil(mean) + margin
+    if alpha is None:
+        columns, margin = trials, math.ceil(3.0 * math.sqrt(mean)) + 1
+        most, target = max(1, _POINT_BUDGET // _BLOCK_TRIALS), math.ceil(mean) + margin
+    else:
+        columns, margin = _BLOCK_TRIALS, _IDLE_STEP
+        most = target = _IDLE_STEP
+        largest = np.zeros(columns)
+    drawn = 0
     size = min(most, target)  # no later chunk is larger than the first
     rows = np.empty((size, _BLOCK_TRIALS, 2))
     # row 0 carries the running sum of the previous chunk
-    arrival = np.zeros((size + 1, trials))
-    r2, fade = np.empty((size, trials)), np.empty((size, trials))
-    present = np.empty((size, trials), dtype=bool)
+    arrival = np.zeros((size + 1, columns))
+    r2, fade = np.empty((size, columns)), np.empty((size, columns))
+    present = np.empty((size, columns), dtype=bool)
     while True:
         count = min(most, target - drawn)
-        uniforms = rng.random(out=rows[:count])[:, :trials]
+        uniforms = rng.random(out=rows[:count])[:, :columns]
         head, chunk = arrival[: count + 1], arrival[1 : count + 1]
         for out, column in ((chunk, 0), (fade[:count], 1)):  # -log(1 - u)
             np.negative(uniforms[:, :, column], out=out)
@@ -433,8 +475,20 @@ def _poisson_tier(rng: np.random.Generator, density: float, radius: float, trial
         np.cumsum(head, axis=0, out=head)
         np.divide(chunk, math.pi * density, out=r2[:count])
         np.less_equal(chunk, mean, out=present[:count])
-        yield r2[:count], fade[:count], present[:count]
-        if not present[count - 1].any():
+        if alpha is None:
+            done, unplaced = not present[count - 1].any(), 0
+        else:
+            decay = r2[:count] ** (-alpha / 2.0)
+            gain = decay * fade[:count]
+            gain *= present[:count]
+            np.maximum(largest, gain.max(axis=0), out=largest)
+            done = not (present[count - 1] & (_FADE_MAX * decay[-1] > largest)).any()
+            if done:  # drawn for every column, whatever the trials
+                unplaced = rng.poisson(np.maximum(mean - head[count], 0.0))[:trials]
+            else:
+                unplaced = 0
+        yield r2[:count, :trials], fade[:count, :trials], present[:count, :trials], unplaced
+        if done:
             return
         head[0] = head[count]
         drawn += count
@@ -479,16 +533,20 @@ def _estimate_loads(
                 r2, fade, active, present = _lattice_tier(
                     _block_rng(sim.seed, b, k, 0), tier, radius, trials
                 )
-                yield k, True, r2, fade, present & active
+                yield k, True, r2, fade, present & active, 0
                 if idle:
-                    yield k, False, r2, fade, present & ~active
+                    yield k, False, r2, fade, present & ~active, 0
                 continue
             shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
             for stream, share in enumerate(shares):
                 if not share > 0.0:
                     continue
                 rng = _block_rng(sim.seed, b, k, stream)
-                for chunk in _poisson_tier(rng, share * tier.density, radius, trials):
+                # an idle stream is read only for its largest signal
+                cutoff = network.alpha if stream else None
+                for chunk in _poisson_tier(
+                    rng, share * tier.density, radius, trials, cutoff
+                ):
                     yield (k, stream == 0, *chunk)
 
     def block(b: int):
@@ -496,10 +554,8 @@ def _estimate_loads(
         return _count_covered(network, loads, trials, chunks(b, trials))
 
     blocks = _map_blocks(block, sim.trials)
-    interference = sum(total for _, total in blocks)
-    bound = _truncation_bound(
-        network, [t.activity for t in network.tiers], radius, interference / sim.trials
-    )
+    interference = np.concatenate([heard for _, heard in blocks])
+    bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, interference)
     estimates = []
     for counts in zip(*(per_load for per_load, _ in blocks)):
         covered, empty, stations = map(sum, zip(*counts))
@@ -517,7 +573,7 @@ def estimate_coverage(
 ) -> Estimate:
     """Coverage probability of a typical user at the window centre.
 
-    Per trial every tier's active and idle stations are sampled on the disc.
+    Per trial every tier's active and idle stations in the disc take part.
     The user is covered when any accessible candidate clears its tier
     target: an active candidate against the remaining active power, an idle
     candidate against the whole active field.  No single-candidate
@@ -538,7 +594,9 @@ def estimate_coverage(
     idle stream is drawn only for an accessible tier under a load with idle
     candidates, and no key depends on the load or the access set, so the
     fully-loaded estimate never exceeds the conditional-thinning one with
-    the same seed, nor closed access open access.  "hex-first-tier" draws
+    the same seed, nor closed access open access.  An idle stream stops at
+    its exact cutoff and counts the idle stations beyond it, which cannot
+    change a decision.  "hex-first-tier" draws
     its lattice with its marks (_lattice_tier).  A tier of zero density is
     empty in both placements.
     """
@@ -612,8 +670,8 @@ def estimate_coverage_system(
         return per_tier, fraction, activity_sum, counts_per_tier
 
     def block(b: int):
-        """((covered, empty, stations), in-window interference) of block b
-        and its trials' diagnostics."""
+        """((covered, empty, stations), per-trial in-window interference)
+        of block b and its trials' diagnostics."""
         first = b * _BLOCK_TRIALS
         drawn = [trial(t) for t in range(first, min(first + _BLOCK_TRIALS, sim.trials))]
 
@@ -628,8 +686,8 @@ def estimate_coverage_system(
                 r2, fade, active = (np.ones(present.shape, dtype=v.dtype) for v in parts[0])
                 for column, values in zip((r2, fade, active), zip(*parts)):
                     column.T[present.T] = np.concatenate(values)
-                yield k, True, r2, fade, present & active
-                yield k, False, r2, fade, present & ~active
+                yield k, True, r2, fade, present & active, 0
+                yield k, False, r2, fade, present & ~active, 0
 
         (counts,), interference = _count_covered(
             network, ("conditional-thinning",), len(drawn), chunks()
@@ -637,7 +695,7 @@ def estimate_coverage_system(
         return counts, interference, [d[1:] for d in drawn]
 
     covered = empty = stations = 0
-    interference = 0.0
+    interference = []
     fractions: list[np.ndarray] = []
     activity_sums = np.zeros(K)
     activity_counts = np.zeros(K, dtype=np.int64)
@@ -645,7 +703,7 @@ def estimate_coverage_system(
         covered += hits
         empty += misses
         stations += seen
-        interference += heard
+        interference.append(heard)
         for fraction, activity_sum, counts_per_tier in trials:
             if fraction is not None:
                 fractions.append(fraction)
@@ -665,7 +723,7 @@ def estimate_coverage_system(
         out=np.zeros(K),
         where=activity_counts > 0,
     )
-    bound = _truncation_bound(network, mean_activity, radius, interference / sim.trials)
+    bound = _truncation_bound(network, mean_activity, radius, np.concatenate(interference))
     return SystemEstimate(
         **vars(_binomial_estimate(covered, sim.trials, radius, empty, stations, bound)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
@@ -708,24 +766,19 @@ def coverage_region_raster(
     mode "full" tessellates with every station; "thinned-biased" with the
     active stations only, so surviving cells expand into their silent
     neighbours; "thinned-regions" keeps the full tessellation but blanks
-    (id -1) the pixels whose full-mode server is inactive.  Returns a
+    (id -1) the pixels whose full-mode server is inactive.  A mode without
+    any station to tessellate with blanks every pixel.  Returns a
     (grid_resolution, grid_resolution) integer array indexed [iy, ix].
     """
     if mode not in RASTER_MODES:
         raise ValueError(f"mode must be one of {RASTER_MODES}, got {mode!r}")
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
-    n = len(realization)
-    if n == 0:
-        raise ValueError("realization holds no stations")
-    centers = _pixel_centers(realization.radius, grid_resolution)
     active = realization.active
-    if mode == "thinned-biased":
-        subset = np.flatnonzero(active)
-        if not len(subset):
-            return np.full((grid_resolution, grid_resolution), -1, dtype=np.int64)
-    else:
-        subset = np.arange(n)
+    subset = np.flatnonzero(active) if mode == "thinned-biased" else np.arange(len(active))
+    if not len(subset):  # no station serves, so every pixel is blank
+        return np.full((grid_resolution, grid_resolution), -1, dtype=np.int64)
+    centers = _pixel_centers(realization.radius, grid_resolution)
     x, y = np.meshgrid(centers, centers)
     pixels = np.column_stack((x.ravel(), y.ravel()))
     rank = realization.powers[subset] ** (2.0 / realization.alpha)

@@ -650,6 +650,25 @@ class TestRasterCommand:
         assert field.read_text().splitlines()[0] == "x,y,tier,active,fading"
 
 
+    @pytest.mark.parametrize("mode", ["full", "thinned-regions", "thinned-biased"])
+    def test_an_empty_window_gives_a_blank_raster(self, capsys, tmp_path, mode):
+        scenario = write_scenario(tmp_path / "one.json", {
+            "alpha": 4.0,
+            "tiers": [{"power": 1.0, "density": 1.0, "target_sir_db": 0.0, "activity": 0.5}],
+        })
+        field = tmp_path / "field.csv"
+        code = cli.main(["raster", "--scenario", scenario, "--radius", "0.01", "--resolution",
+                         "5", "--mode", mode, "--dump-realization", str(field)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert "Traceback" not in captured.err
+        body = [l for l in captured.out.splitlines() if not l.startswith("#")]
+        assert body[0] == "x,y,bs_id,tier"
+        assert len(body) == 5 * 5 + 1
+        assert all(row.split(",")[2:] == ["-1", "-1"] for row in body[1:])
+        assert field.read_text() == "x,y,tier,active,fading\n"
+
+
 class TestParserReuse:
     def test_commands_in_one_process_match_fresh_processes(
         self, capsys, tmp_path, loaded_scenario, full_load_scenario

@@ -349,10 +349,10 @@ def bincount_count_covered(network, load, r2, tier_idx, fade, act, trial_idx, ba
 
 
 def bincount_interference(network, r2, tier_idx, fade, act, trial_idx, batch):
-    """Active interference at the centre, summed over a batch of trials."""
+    """Active interference at the centre of each trial of a batch."""
     power = np.array([t.power for t in network.tiers])
     signal = power[tier_idx] * fade * r2 ** (-network.alpha / 2.0)
-    return float(np.bincount(trial_idx, weights=np.where(act, signal, 0.0), minlength=batch).sum())
+    return np.bincount(trial_idx, weights=np.where(act, signal, 0.0), minlength=batch)
 
 
 def random_block(rng, num_tiers, trials):
@@ -405,6 +405,11 @@ class TestBlockEngine:
             # a fully-loaded estimate counts the active stations only
             stations = int(np.count_nonzero(act)) if load == "fully-loaded" else len(flat)
             heard = bincount_interference(net, r2, tier_idx, fade, act, trial_idx, trials)
+            # stations counted but not placed add to the count, not the test
+            unplaced = rng.integers(0, 3, size=(net.num_tiers, 2, trials))
+            stations += int(unplaced[:, 0].sum())
+            if load != "fully-loaded":
+                stations += int(unplaced[:, 1].sum())
 
             def chunks():
                 # each tier as its active and its idle stations, each cut at
@@ -412,23 +417,48 @@ class TestBlockEngine:
                 for k, (r2, fade, active, present) in enumerate(fields):
                     for is_active, mask in ((True, present & active), (False, present & ~active)):
                         cut = int(rng.integers(0, len(r2) + 1))
-                        for part in (slice(None, cut), slice(cut, None)):
-                            yield k, is_active, r2[part], fade[part], mask[part]
+                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
+                        yield (k, is_active, r2[cut:], fade[cut:], mask[cut:],
+                               unplaced[k, 1 - is_active])
 
             got, interference = mcsim._count_covered(net, (load,), trials, chunks())
             assert got == [(*want, stations)]
-            assert interference == pytest.approx(heard, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(interference, heard, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
-    def test_a_run_is_a_prefix_of_any_longer_run(self, placement):
+    def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, placement):
         net = two_tier(p1=0.5, p2=0.3)
-        covered = []
+        reducer = mcsim._count_covered
+        stations, unplaced = [], []  # per trial of the latest run; all unplaced
+
+        def counting(network, loads, trials, chunks):
+            per_trial = np.zeros(trials, dtype=np.int64)
+
+            def tee():
+                for chunk in chunks:
+                    per_trial[:] += np.count_nonzero(chunk[4], axis=0) + chunk[5]
+                    unplaced.append(np.sum(chunk[5]))
+                    yield chunk
+
+            result = reducer(network, loads, trials, tee())
+            stations.extend(per_trial.tolist())
+            return result
+
+        monkeypatch.setattr(mcsim, "_count_covered", counting)
+        covered, runs = [], []
         for n in range(1, 50):
-            sim = hc.SimConfig(trials=n, seed=43, window_radius=3.0)
+            # the idle streams hold ~60 and ~160 stations, past their cutoffs
+            sim = hc.SimConfig(trials=n, seed=43, window_radius=6.0)
+            stations.clear()
             est = hc.estimate_coverage(net, sim, placement=placement)
             covered.append(round(est.mean * n))
+            assert sum(stations) == round(est.mean_stations_per_trial * n)
+            runs.append(list(stations))
         steps = set(np.diff(covered).tolist())
         assert steps == {0, 1}
+        for run in runs:
+            assert run == runs[-1][: len(run)]
+        assert sum(unplaced) > 0  # idle stations past the cutoff were counted
 
     @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
     def test_a_larger_window_holds_every_station_of_a_smaller_one(
@@ -441,7 +471,7 @@ class TestBlockEngine:
             rng = mcsim._block_rng(7, 3, 0, stream)
             # a chunk holds until the next one is drawn, so copy each
             chunks = [
-                [a.copy() for a in chunk]
+                [a.copy() for a in chunk[:3]]
                 for chunk in mcsim._poisson_tier(rng, density, radius, 16)
             ]
             return [np.vstack(part) for part in zip(*chunks)]
@@ -516,6 +546,19 @@ class TestBlockEngine:
         assert large.truncated_interference_bound <= small.truncated_interference_bound / 4.0
         assert small.truncated_interference_bound < 0.05
 
+    def test_truncated_interference_bound_holds_as_trials_grow(self):
+        # the in-window interference has no finite mean: its sample mean
+        # grew with the trial count, and the bound over it fell; the median
+        # settles
+        net = two_tier()
+        bounds = [
+            hc.estimate_coverage(
+                net, hc.SimConfig(trials=n, seed=5), load="fully-loaded"
+            ).truncated_interference_bound
+            for n in (1_000, 30_000)
+        ]
+        assert 0.5 < bounds[1] / bounds[0] < 2.0
+
     def test_system_bound_uses_the_measured_activity(self):
         fig5 = TestEstimateCoverageSystem().fig5()
         sim = hc.SimConfig(trials=20, seed=47, window_radius=5.0)
@@ -523,6 +566,98 @@ class TestBlockEngine:
         assert idle.truncated_interference_bound == 0.0  # nothing transmits
         loaded = hc.estimate_coverage_system(fig5, 8.0, 10, sim)
         assert 0.0 < loaded.truncated_interference_bound < math.inf
+
+
+CUTOFF_NETS = {
+    "closed": hc.Network(
+        alpha=3.6,
+        tiers=(hc.Tier(1.0, 1.0, 2.0, 0.6), hc.Tier(0.1, 2.0, 0.8, 0.4), hc.Tier(0.01, 3.0, 1.5, 0.7)),
+        access=[1, 3],
+    ),
+    "sub-0-dB": hc.Network(
+        alpha=4.0, tiers=(hc.Tier(1.0, 1.0, 0.5, 0.3), hc.Tier(0.2, 4.0, 0.25, 0.2))
+    ),
+    "alpha-2.2": hc.Network(
+        alpha=2.2, tiers=(hc.Tier(1.0, 0.5, 1.0, 0.5), hc.Tier(0.05, 3.0, 0.7, 0.3))
+    ),
+    "alpha-5.5": hc.Network(alpha=5.5, tiers=(hc.Tier(1.0, 1.0, 3.0, 0.4),)),
+}
+
+
+class TestIdleCutoff:
+    def test_fade_max_bounds_every_fade(self):
+        # Generator.random draws multiples of 2^-53 below 1, so a fade
+        # -log1p(-u) is at most -log1p(-(1 - 2^-53))
+        u = np.random.default_rng(3).random(1 << 16)
+        assert (u < 1.0).all()
+        np.testing.assert_array_equal(np.ldexp(u, 53), np.floor(np.ldexp(u, 53)))
+        largest = np.nextafter(1.0, 0.0)
+        assert largest == 1.0 - 2.0**-53
+        assert mcsim._FADE_MAX >= -math.log1p(-largest)
+        assert mcsim._FADE_MAX >= -np.log1p(-largest)
+        assert mcsim._FADE_MAX < 1.0001 * 53.0 * math.log(2.0)
+
+    @pytest.mark.parametrize("step", [1, mcsim._IDLE_STEP])
+    @pytest.mark.parametrize("alpha", [2.2, 3.8, 5.5])
+    def test_an_idle_stream_stops_without_losing_its_largest_signal(
+        self, monkeypatch, alpha, step
+    ):
+        # windows of ~2,000 idle stations: the cut stream places a fraction
+        # of them, keeps each column's largest fade * r2^(-alpha/2) and counts
+        # the rest; steps of one row stop right at the cutoff
+        monkeypatch.setattr(mcsim, "_IDLE_STEP", step)
+        density, radius, blocks = 1.0, math.sqrt(2000.0 / math.pi), 16
+
+        def stream(block, trials):
+            largest = np.zeros(trials)
+            placed, counted = 0, np.zeros(trials, dtype=np.int64)
+            rng = mcsim._block_rng(9, block, 1, 1)
+            for r2, fade, present, unplaced in mcsim._poisson_tier(
+                rng, density, radius, trials, alpha
+            ):
+                gain = fade * r2 ** (-alpha / 2.0) * present
+                np.maximum(largest, gain.max(axis=0), out=largest)
+                placed += len(r2)
+                counted += np.count_nonzero(present, axis=0) + unplaced
+            return largest, placed, counted
+
+        cut, placed, counted = zip(*(stream(b, 16) for b in range(blocks)))
+        assert max(placed) < 1000
+        counted = np.concatenate(counted)
+        assert abs(counted.mean() - 2000.0) < 5.0 * math.sqrt(2000.0 / len(counted))
+        # a partial block stops where the full block stops
+        np.testing.assert_array_equal(stream(0, 5)[2], counted[:5])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_FADE_MAX", math.inf)  # nothing is cut
+            patch.setattr(mcsim, "_IDLE_STEP", 512)
+            uncut = [stream(b, 16) for b in range(blocks)]
+        np.testing.assert_array_equal(np.concatenate(cut), np.concatenate([u[0] for u in uncut]))
+        assert min(u[1] for u in uncut) > 2000
+
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    @pytest.mark.parametrize("name", CUTOFF_NETS)
+    def test_cutting_changes_no_decision(self, monkeypatch, name, placement):
+        net = CUTOFF_NETS[name]
+        sim = hc.SimConfig(trials=200, seed=61)
+        cut = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        monkeypatch.setattr(mcsim, "_FADE_MAX", math.inf)  # nothing is cut
+        uncut = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        area = math.pi * cut[0].window_radius ** 2
+        for load, a, b in zip(mcsim.LOAD_MODES, cut, uncut):
+            assert (a.mean, a.stderr, a.empty_trials, a.truncated_interference_bound) == (
+                b.mean, b.stderr, b.empty_trials, b.truncated_interference_bound
+            )
+            # every active station, and the idle ones of accessible tiers
+            # for a load with idle candidates
+            expected = area * sum(
+                t.density if load != "fully-loaded" and k + 1 in net.access
+                else t.activity * t.density
+                for k, t in enumerate(net.tiers)
+            )
+            for est in (a, b):
+                assert abs(est.mean_stations_per_trial - expected) < 5.0 * math.sqrt(
+                    expected / sim.trials
+                )
 
 
 def make_realization(positions, active, powers=None, radius=5.0, alpha=4.0):
@@ -697,6 +832,17 @@ class TestCoverageRegionRaster:
         hc.realization_to_csv(real, field)
         assert raster.getvalue() == per_row_raster_csv(real, grid)
         assert field.getvalue() == per_row_realization_csv(real)
+
+    @pytest.mark.parametrize("mode", mcsim.RASTER_MODES)
+    def test_an_empty_field_blanks_every_pixel(self, mode):
+        real = make_realization(np.zeros((0, 2)), [])
+        grid = hc.coverage_region_raster(real, 6, mode)
+        np.testing.assert_array_equal(grid, np.full((6, 6), -1))
+        buffer = io.StringIO()
+        hc.raster_to_csv(real, grid, buffer)
+        rows = buffer.getvalue().splitlines()[1:]
+        assert len(rows) == 36
+        assert all(row.endswith(",-1,-1") for row in rows)
 
     def test_validation(self):
         real = make_realization([[0.0, 0.0]], [True])
