@@ -13,13 +13,16 @@ several loads.  An idle station never interferes and counts only through
 the largest idle signal of its tier, so an idle stream stops where no
 further station can raise that signal (the fade is bounded, _FADE_MAX):
 the idle stations past that cutoff are counted, not placed.  The system
-simulation draws one stream per trial, keyed on
-(seed, trial).  Blocks are independent work units that return plain
-counts, summed in block order, so a result does not depend on the chunking
-or on the trial count of the run: trial t depends only on (seed, t), and a
-run of n trials is a prefix of any longer run with the same seed.  Blocks
-run one after another in the calling thread; see _BLOCK_TRIALS for why
-they are not spread over threads.
+simulation draws one stream per trial, keyed on (seed, trial), so its
+results do not depend on the block width either.  A block's trials are the
+columns of every (slots, trials) array it reduces over the slot axis, so
+the width sets how many trials each numpy call serves (_BLOCK_TRIALS).
+Blocks are independent work units that return plain counts, summed in
+block order, so a result does not depend on the chunking or on the trial
+count of the run: trial t depends only on (seed, t), and a run of n trials
+is a prefix of any longer run with the same seed.  Blocks run one after
+another in the calling thread; see _BLOCK_TRIALS for why they are not
+spread over threads.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .model import Network
 
@@ -54,17 +56,23 @@ PLACEMENTS = ("ppp", "hex-first-tier")
 LOAD_MODES = ("conditional-thinning", "fully-loaded", "idle-only")
 RASTER_MODES = ("full", "thinned-regions", "thinned-biased")
 
-# Stations per drawn chunk of a block: a stream reuses its chunk buffers,
-# and larger chunks fall out of cache (65,536 ran the 15,000-station window
-# 1.3-1.5x slower on a 2-core host), smaller ones add numpy calls.
+# Stations per drawn chunk of a block, so at most 256 slots of 64 columns:
+# a stream reuses its chunk buffers, and larger chunks fall out of cache
+# (32,768 and 65,536 ran slower at 64 and 128 columns on a 2-core host),
+# smaller ones add numpy calls.
 _POINT_BUDGET = 16_384
-# Trials per keyed generator.  Blocks run one after another: a block makes
-# some thirty short numpy calls per chunk, between which numpy holds the
-# interpreter lock.  On a 2-core host two threads gained 1.6x on the
-# 15,000-station window only while the other core was idle; beside one busy
-# process the benchmark ran slower on two threads than on one, and its
-# command times followed the neighbour's load.
-_BLOCK_TRIALS = 16
+# Trials per keyed generator, and the columns of every (slots, trials)
+# array: numpy reduces over the slot axis with one inner loop per slot row,
+# as long as a row is, so a wider block pays that loop's overhead on more
+# trials (max, sum and any cost 2-4x less per element at 64 columns than at
+# 16) and builds fewer generators.  128 ran level with 64; 256 was slower on
+# the 120-trial runs, whose blocks it fills half.  Blocks run one after
+# another: a block makes some thirty short numpy calls per chunk, between
+# which numpy holds the interpreter lock.  On a 2-core host two threads
+# gained 1.6x on the 15,000-station window only while the other core was
+# idle; beside one busy process the benchmark ran slower on two threads
+# than on one, and its command times followed the neighbour's load.
+_BLOCK_TRIALS = 64
 # Rows per step of an idle stream, which stops at its cutoff (_poisson_tier).
 _IDLE_STEP = 32
 # A fade is -log1p(-u) of a uniform u <= 1 - 2^-53, so at most 53 ln 2; the
@@ -401,9 +409,13 @@ def _count_covered(network: Network, loads, trials: int, chunks):
             np.maximum(best[kind], signal.max(axis=0) / threshold, out=best[kind])
             found[kind] |= present.any(axis=0)
         if active:
-            # carrying the running sum in the first slot sums slot by slot
+            # carrying the running sum in the first slot sums slot by slot;
+            # add.reduce sums a lone column pairwise, so it is accumulated
             signal[0] += interference
-            np.add.reduce(signal, axis=0, out=interference)
+            if trials > 1:
+                np.add.reduce(signal, axis=0, out=interference)
+            else:
+                interference[:] = np.cumsum(signal, axis=0)[-1]
     counts = []
     for load in loads:
         admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
@@ -739,6 +751,8 @@ def _serving_station(points, positions, rank) -> np.ndarray:
     does.  Within one rank the nearest station is the strongest, so each
     distinct rank takes one nearest-station query; ties go to the lower rank.
     """
+    from scipy.spatial import cKDTree  # only the association needs scipy
+
     best = np.full(len(points), -1, dtype=np.int64)
     best_score = np.full(len(points), -np.inf)
     for weight in np.unique(rank):

@@ -704,3 +704,21 @@ class TestParserReuse:
                 capture_output=True, text=True, env=env, timeout=120, check=False,
             )
             assert (fresh.returncode, fresh.stdout, fresh.stderr) == expected
+
+
+def test_analytic_commands_never_import_the_association(loaded_scenario):
+    # scipy.spatial serves only the nearest-station association of the
+    # system simulation and the raster, so an analytic command leaves it
+    # unimported
+    script = (
+        "import sys, hetcov\n"
+        "from hetcov import cli\n"
+        f"code = cli.main(['coverage', '--scenario', {loaded_scenario!r}])\n"
+        "print(code, 'scipy.spatial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False"

@@ -286,6 +286,20 @@ class TestEstimateCoverageSystem:
         monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one trial per batch
         assert hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim) == batched
 
+    @pytest.mark.parametrize(
+        "trials, seed, user_density, blocks",
+        # 33 leaves a lone trial in the last 16-trial block
+        [(33, 34, 8.0, 10), (70, 35, 15.0, 20), (1, 36, 8.0, 10)],
+    )
+    def test_block_width_changes_nothing(self, monkeypatch, trials, seed, user_density, blocks):
+        # every trial draws its own (seed, t) stream, so the block width
+        # only regroups the columns the reducer sums slot by slot
+        sim = hc.SimConfig(trials=trials, seed=seed, window_radius=5.0)
+        wide = hc.estimate_coverage_system(self.fig5(), user_density, blocks, sim)
+        assert mcsim._BLOCK_TRIALS != 16
+        monkeypatch.setattr(mcsim, "_BLOCK_TRIALS", 16)
+        assert hc.estimate_coverage_system(self.fig5(), user_density, blocks, sim) == wide
+
     def test_empty_windows_count_as_uncovered(self):
         # 2 stations per unit area on a disc of radius 0.15: about 87 % of
         # the trials hold no station at all
@@ -429,7 +443,8 @@ class TestBlockEngine:
     def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, placement):
         net = two_tier(p1=0.5, p2=0.3)
         reducer = mcsim._count_covered
-        stations, unplaced = [], []  # per trial of the latest run; all unplaced
+        # per trial of the latest run: stations and in-window interference
+        stations, heard, unplaced = [], [], []  # unplaced over all runs
 
         def counting(network, loads, trials, chunks):
             per_trial = np.zeros(trials, dtype=np.int64)
@@ -442,22 +457,31 @@ class TestBlockEngine:
 
             result = reducer(network, loads, trials, tee())
             stations.extend(per_trial.tolist())
+            heard.extend(result[1].tolist())
             return result
 
         monkeypatch.setattr(mcsim, "_count_covered", counting)
+        # runs that end one short of, at and one past two block boundaries,
+        # a lone trial (a block of one column) and the benchmark's counts
+        width = mcsim._BLOCK_TRIALS
+        ns = sorted({1, 2, 40, 41, 120, 121, width - 1, width, width + 1,
+                     2 * width - 1, 2 * width, 2 * width + 1})
         covered, runs = [], []
-        for n in range(1, 50):
+        for n in ns:
             # the idle streams hold ~60 and ~160 stations, past their cutoffs
             sim = hc.SimConfig(trials=n, seed=43, window_radius=6.0)
             stations.clear()
+            heard.clear()
             est = hc.estimate_coverage(net, sim, placement=placement)
             covered.append(round(est.mean * n))
             assert sum(stations) == round(est.mean_stations_per_trial * n)
-            runs.append(list(stations))
-        steps = set(np.diff(covered).tolist())
-        assert steps == {0, 1}
-        for run in runs:
-            assert run == runs[-1][: len(run)]
+            runs.append((list(stations), list(heard)))
+        for more, fewer, n, m in zip(covered[1:], covered, ns[1:], ns):
+            assert 0 <= more - fewer <= n - m
+        assert 0 < covered[-1] < ns[-1]
+        for run_stations, run_heard in runs:
+            assert run_stations == runs[-1][0][: len(run_stations)]
+            assert run_heard == runs[-1][1][: len(run_heard)]
         assert sum(unplaced) > 0  # idle stations past the cutoff were counted
 
     @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
@@ -472,14 +496,15 @@ class TestBlockEngine:
             # a chunk holds until the next one is drawn, so copy each
             chunks = [
                 [a.copy() for a in chunk[:3]]
-                for chunk in mcsim._poisson_tier(rng, density, radius, 16)
+                for chunk in mcsim._poisson_tier(rng, density, radius, width)
             ]
             return [np.vstack(part) for part in zip(*chunks)]
 
-        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 16 * 7)  # chunks of 7 slots
+        width = mcsim._BLOCK_TRIALS
+        monkeypatch.setattr(mcsim, "_POINT_BUDGET", width * 7)  # chunks of 7 slots
         small_r2, small_fade, small_present = stations(3.0)
         large_r2, large_fade, large_present = stations(6.0)
-        for i in range(16):
+        for i in range(width):
             n = int(np.count_nonzero(small_present[:, i]))
             assert n > 0 and small_present[:n, i].all()
             assert large_present[:n, i].all()
@@ -621,7 +646,8 @@ class TestIdleCutoff:
                 counted += np.count_nonzero(present, axis=0) + unplaced
             return largest, placed, counted
 
-        cut, placed, counted = zip(*(stream(b, 16) for b in range(blocks)))
+        width = mcsim._BLOCK_TRIALS
+        cut, placed, counted = zip(*(stream(b, width) for b in range(blocks)))
         assert max(placed) < 1000
         counted = np.concatenate(counted)
         assert abs(counted.mean() - 2000.0) < 5.0 * math.sqrt(2000.0 / len(counted))
@@ -630,7 +656,7 @@ class TestIdleCutoff:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcsim, "_FADE_MAX", math.inf)  # nothing is cut
             patch.setattr(mcsim, "_IDLE_STEP", 512)
-            uncut = [stream(b, 16) for b in range(blocks)]
+            uncut = [stream(b, width) for b in range(blocks)]
         np.testing.assert_array_equal(np.concatenate(cut), np.concatenate([u[0] for u in uncut]))
         assert min(u[1] for u in uncut) > 2000
 
