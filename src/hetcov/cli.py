@@ -387,6 +387,9 @@ def _cmd_sweep(network, args) -> tuple[str, int, str]:
     values = _parse_grid(args.sweep_values)
     target = args.sweep_target
     if target == "series_index":
+        if args.engine != "analytic":
+            raise ModelValidationError("series_index traces the analytic series; "
+                                       f"--engine {args.engine} does not apply")
         header, rows, unconverged = _sweep_series_index(network, values, control)
     else:
         header, rows, unconverged = _sweep_grid(network, target, values, control, args)
@@ -535,6 +538,9 @@ def main(argv=None) -> int:
     except SeriesConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except MemoryError as exc:
+        print(f"usage error: out of memory: {exc or type(exc).__name__}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

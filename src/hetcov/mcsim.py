@@ -14,15 +14,15 @@ the largest idle signal of its tier, so an idle stream stops where no
 further station can raise that signal (the fade is bounded, _FADE_MAX):
 the idle stations past that cutoff are counted, not placed.  The system
 simulation draws one stream per trial, keyed on (seed, trial), so its
-results do not depend on the block width either.  A block's trials are the
-columns of every (slots, trials) array it reduces over the slot axis, so
-the width sets how many trials each numpy call serves (_BLOCK_TRIALS).
-Blocks are independent work units that return plain counts, summed in
-block order, so a result does not depend on the chunking or on the trial
-count of the run: trial t depends only on (seed, t), and a run of n trials
-is a prefix of any longer run with the same seed.  Blocks run one after
-another in the calling thread; see _BLOCK_TRIALS for why they are not
-spread over threads.
+results do not depend on the block width either.  A block's trials are
+its slice of the run's columns, and one reducer pass (_count_covered)
+keeps every trial's state over the run; each (slots, trials) array is
+reduced over the slot axis, so the width sets how many trials each numpy
+call serves (_BLOCK_TRIALS).  A result does not depend on the chunking or
+on the trial count of the run: trial t depends only on (seed, t), and a
+run of n trials is a prefix of any longer run with the same seed.  Blocks
+run one after another in the calling thread; see _BLOCK_TRIALS for why
+they are not spread over threads.
 """
 
 from __future__ import annotations
@@ -192,11 +192,6 @@ def _block_rng(seed: int, block: int, tier: int, stream: int) -> np.random.Gener
     )
 
 
-def _map_blocks(task, trials: int) -> list:
-    """task(block) for each block of _BLOCK_TRIALS trials, in block order."""
-    return [task(b) for b in range(-(-trials // _BLOCK_TRIALS))]
-
-
 def _truncation_bound(
     network: Network, activities, radius: float, interference: np.ndarray
 ) -> float:
@@ -216,12 +211,12 @@ def _truncation_bound(
     return math.inf if outside > 0.0 else 0.0
 
 
-def _binomial_estimate(
-    successes: int, trials: int, radius: float, empty: int, stations: int, bound: float
-) -> Estimate:
-    """The estimate of successes in trials; warns when more than 0.1% of the
-    trials held no candidate station.  The warning names the first caller
-    outside this module, however deep the estimator's own calls go."""
+def _binomial_estimate(counts, trials: int, radius: float, bound: float) -> Estimate:
+    """The estimate of the (covered, empty, stations) counts of trials; warns
+    when more than 0.1% of the trials held no candidate station.  The
+    warning names the first caller outside this module, however deep the
+    estimator's own calls go."""
+    successes, empty, stations = counts
     if empty > 0.001 * trials:
         frame, level = sys._getframe(), 1
         while frame is not None and frame.f_code.co_filename == __file__:
@@ -366,32 +361,35 @@ def draw_realization(
 
 
 def _count_covered(network: Network, loads, trials: int, chunks):
-    """Per-load (covered, empty, stations) over a group of trials laid out
+    """Per-load (covered, empty, stations) over the trials of a run laid out
     as columns, and the in-window interference of each trial.
 
-    chunks yields (tier, active, r2, fade, present, unplaced): active says
+    chunks yields (columns, tier, active, r2, fade, present, unplaced):
+    columns is the slice of run columns the chunk fills, active says
     whether the chunk holds active or idle stations, and r2, fade and
-    present are arrays of shape (slots, trials): slot j of column i holds a
-    station of that tier in trial i where present is set, and padding
-    (finite, with r2 > 0) elsewhere; unplaced is 0 or the per-trial
-    numbers of further stations of the chunk's kind, counted but not
-    placed.  Per trial the reducer keeps the interference of the
-    active stations, the largest accessible active signal / delta, the
-    largest accessible idle signal / target SIR, whether either kind of
-    candidate was found and the station count per kind.  A load then covers
-    the centre user when a candidate it admits (see estimate_coverage)
-    clears its tier target, signal >= threshold * interference, that is
-    when the largest signal / threshold over those candidates reaches the
-    interference; a trial without any such candidate counts as empty.  A
-    load's stations are the active ones, plus the idle ones if it admits
-    idle candidates.  The interference is summed slot by slot in chunk
-    order, so cutting a chunk's slots into more chunks changes no sum.
+    present are arrays of shape (slots, width of columns): slot j of
+    column i holds a station of that tier in the trial of run column i
+    where present is set, and padding (finite, with r2 > 0) elsewhere;
+    unplaced is 0 or the per-trial numbers of further stations of the
+    chunk's kind, counted but not placed.  Per trial of the run the
+    reducer keeps the interference of the active stations, the largest
+    accessible active signal / delta, the largest accessible idle signal /
+    target SIR, whether either kind of candidate was found and the station
+    count per kind.  A load then covers the centre user when a candidate it
+    admits (see estimate_coverage) clears its tier target, signal >=
+    threshold * interference, that is when the largest signal / threshold
+    over those candidates reaches the interference; a trial without any
+    such candidate counts as empty.  A load's stations are the active ones,
+    plus the idle ones if it admits idle candidates.  The interference of a
+    column is summed slot by slot in the order of its chunks, so cutting a
+    chunk's slots into more chunks changes no sum, nor does the order of
+    chunks that fill different columns.
     """
     interference = np.zeros(trials)
     best = np.zeros((2, trials))  # [active, idle]
     found = np.zeros((2, trials), dtype=bool)
     stations = [0, 0]
-    for k, active, r2, fade, present, unplaced in chunks:
+    for columns, k, active, r2, fade, present, unplaced in chunks:
         kind = 0 if active else 1
         stations[kind] += int(np.count_nonzero(present) + np.sum(unplaced))
         accessible = k + 1 in network.access
@@ -406,16 +404,18 @@ def _count_covered(network: Network, loads, trials: int, chunks):
             # station leaves the largest candidate signal; dividing by the
             # threshold keeps the order
             threshold = tier.delta if active else tier.target_sir
-            np.maximum(best[kind], signal.max(axis=0) / threshold, out=best[kind])
-            found[kind] |= present.any(axis=0)
+            largest = best[kind, columns]
+            np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
+            found[kind, columns] |= present.any(axis=0)
         if active:
             # carrying the running sum in the first slot sums slot by slot;
             # add.reduce sums a lone column pairwise, so it is accumulated
-            signal[0] += interference
-            if trials > 1:
-                np.add.reduce(signal, axis=0, out=interference)
+            heard = interference[columns]
+            signal[0] += heard
+            if signal.shape[1] > 1:
+                np.add.reduce(signal, axis=0, out=heard)
             else:
-                interference[:] = np.cumsum(signal, axis=0)[-1]
+                heard[:] = np.cumsum(signal, axis=0)[-1]
     counts = []
     for load in loads:
         admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
@@ -536,45 +536,37 @@ def _estimate_loads(
     )
     with_idle = any(load != "fully-loaded" for load in loads)
 
-    def chunks(b: int, trials: int):
-        for k, tier in enumerate(network.tiers):
-            if not tier.density > 0.0:
-                continue
-            idle = with_idle and k + 1 in network.access
-            if placement == "hex-first-tier" and k == 0:
-                r2, fade, active, present = _lattice_tier(
-                    _block_rng(sim.seed, b, k, 0), tier, radius, trials
-                )
-                yield k, True, r2, fade, present & active, 0
-                if idle:
-                    yield k, False, r2, fade, present & ~active, 0
-                continue
-            shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
-            for stream, share in enumerate(shares):
-                if not share > 0.0:
+    def chunks():
+        for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
+            columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
+            trials = columns.stop - first
+            for k, tier in enumerate(network.tiers):
+                if not tier.density > 0.0:
                     continue
-                rng = _block_rng(sim.seed, b, k, stream)
-                # an idle stream is read only for its largest signal
-                cutoff = network.alpha if stream else None
-                for chunk in _poisson_tier(
-                    rng, share * tier.density, radius, trials, cutoff
-                ):
-                    yield (k, stream == 0, *chunk)
+                idle = with_idle and k + 1 in network.access
+                if placement == "hex-first-tier" and k == 0:
+                    r2, fade, active, present = _lattice_tier(
+                        _block_rng(sim.seed, b, k, 0), tier, radius, trials
+                    )
+                    yield columns, k, True, r2, fade, present & active, 0
+                    if idle:
+                        yield columns, k, False, r2, fade, present & ~active, 0
+                    continue
+                shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
+                for stream, share in enumerate(shares):
+                    if not share > 0.0:
+                        continue
+                    rng = _block_rng(sim.seed, b, k, stream)
+                    # an idle stream is read only for its largest signal
+                    cutoff = network.alpha if stream else None
+                    for chunk in _poisson_tier(
+                        rng, share * tier.density, radius, trials, cutoff
+                    ):
+                        yield (columns, k, stream == 0, *chunk)
 
-    def block(b: int):
-        trials = min(_BLOCK_TRIALS, sim.trials - b * _BLOCK_TRIALS)
-        return _count_covered(network, loads, trials, chunks(b, trials))
-
-    blocks = _map_blocks(block, sim.trials)
-    interference = np.concatenate([heard for _, heard in blocks])
+    counts, interference = _count_covered(network, loads, sim.trials, chunks())
     bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, interference)
-    estimates = []
-    for counts in zip(*(per_load for per_load, _ in blocks)):
-        covered, empty, stations = map(sum, zip(*counts))
-        estimates.append(
-            _binomial_estimate(covered, sim.trials, radius, empty, stations, bound)
-        )
-    return estimates
+    return [_binomial_estimate(c, sim.trials, radius, bound) for c in counts]
 
 
 def estimate_coverage(
@@ -636,8 +628,8 @@ def estimate_coverage_system(
     factors are an outcome here, not an input, so the default window is
     sized from the raw station densities.  Trial t draws from its own
     (seed, t) stream; trials are tested in blocks of _BLOCK_TRIALS, as in
-    estimate_coverage, and every count and diagnostic is summed in trial
-    order.
+    estimate_coverage, in one reducer pass over the run, and every
+    diagnostic is summed in trial order.
     """
     if user_density < 0.0:
         raise ValueError(f"user_density must be non-negative, got {user_density}")
@@ -649,11 +641,14 @@ def estimate_coverage_system(
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2
+    fractions: list[np.ndarray] = []
+    activity_sums = np.zeros(K)
+    activity_counts = np.zeros(K, dtype=np.int64)
 
     def trial(t: int):
-        """Trial t's stations per tier as (r2, fade, active) and its load
-        diagnostics: the inner users' tier shares (None without inner
-        users), the per-tier activity sums and station counts."""
+        """Trial t's stations per tier as (r2, fade, active); adds its load
+        diagnostics to the run's: the inner users' tier shares (none without
+        inner users), the per-tier activity sums and station counts."""
         rng = _trial_rng(sim.seed, t)
         positions, tier_idx, fade, uniforms = _sample_field(network, radius, rng, "ppp")
         users = sample_ppp(user_density, radius, rng)
@@ -663,7 +658,6 @@ def estimate_coverage_system(
         # Without stations nobody is served and the trial counts as not
         # covered; without users every station stays idle.
         served = np.zeros(n_bs, dtype=np.int64)
-        fraction = None
         if n_bs and n_users:
             chosen = _serving_station(users, positions, rank[tier_idx])
             best_tier = tier_idx[chosen]
@@ -671,57 +665,36 @@ def estimate_coverage_system(
             inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
             n_inner = int(np.count_nonzero(inner))
             if n_inner:
-                fraction = np.bincount(best_tier[inner], minlength=K) / n_inner
+                fractions.append(np.bincount(best_tier[inner], minlength=K) / n_inner)
 
         activity = np.minimum(served / resource_blocks, 1.0)
         r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
         active = uniforms < activity
         tiers = [slice(offsets[i], offsets[i + 1]) for i in range(K)]
-        per_tier = [(r2[s], fade[s], active[s]) for s in tiers]
-        activity_sum = np.array([np.sum(activity[s]) for s in tiers])
-        return per_tier, fraction, activity_sum, counts_per_tier
+        activity_sums[:] += np.array([np.sum(activity[s]) for s in tiers])
+        activity_counts[:] += counts_per_tier
+        return [(r2[s], fade[s], active[s]) for s in tiers]
 
-    def block(b: int):
-        """((covered, empty, stations), per-trial in-window interference)
-        of block b and its trials' diagnostics."""
-        first = b * _BLOCK_TRIALS
-        drawn = [trial(t) for t in range(first, min(first + _BLOCK_TRIALS, sim.trials))]
-
-        def chunks():
-            # tier k of trial i fills column i, handed over as its active
-            # and its idle stations; the padding of ones keeps every padded
-            # signal finite
+    def chunks():
+        # tier k of trial t fills column t, handed over as its active and
+        # its idle stations; the padding of ones keeps every padded signal
+        # finite
+        for first in range(0, sim.trials, _BLOCK_TRIALS):
+            columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
+            drawn = [trial(t) for t in range(columns.start, columns.stop)]
             for k in range(K):
-                parts = [d[0][k] for d in drawn]
+                parts = [d[k] for d in drawn]
                 counts = np.array([len(part[0]) for part in parts])
                 present = np.arange(counts.max())[:, None] < counts
                 r2, fade, active = (np.ones(present.shape, dtype=v.dtype) for v in parts[0])
                 for column, values in zip((r2, fade, active), zip(*parts)):
                     column.T[present.T] = np.concatenate(values)
-                yield k, True, r2, fade, present & active, 0
-                yield k, False, r2, fade, present & ~active, 0
+                yield columns, k, True, r2, fade, present & active, 0
+                yield columns, k, False, r2, fade, present & ~active, 0
 
-        (counts,), interference = _count_covered(
-            network, ("conditional-thinning",), len(drawn), chunks()
-        )
-        return counts, interference, [d[1:] for d in drawn]
-
-    covered = empty = stations = 0
-    interference = []
-    fractions: list[np.ndarray] = []
-    activity_sums = np.zeros(K)
-    activity_counts = np.zeros(K, dtype=np.int64)
-    for (hits, misses, seen), heard, trials in _map_blocks(block, sim.trials):
-        covered += hits
-        empty += misses
-        stations += seen
-        interference.append(heard)
-        for fraction, activity_sum, counts_per_tier in trials:
-            if fraction is not None:
-                fractions.append(fraction)
-            activity_sums += activity_sum
-            activity_counts += counts_per_tier
-
+    (counts,), interference = _count_covered(
+        network, ("conditional-thinning",), sim.trials, chunks()
+    )
     if len(fractions) > 1:
         stacked = np.vstack(fractions)
         frac_mean = stacked.mean(axis=0)
@@ -735,9 +708,9 @@ def estimate_coverage_system(
         out=np.zeros(K),
         where=activity_counts > 0,
     )
-    bound = _truncation_bound(network, mean_activity, radius, np.concatenate(interference))
+    bound = _truncation_bound(network, mean_activity, radius, interference)
     return SystemEstimate(
-        **vars(_binomial_estimate(covered, sim.trials, radius, empty, stations, bound)),
+        **vars(_binomial_estimate(counts, sim.trials, radius, bound)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),

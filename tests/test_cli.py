@@ -218,6 +218,9 @@ def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
         ["--sweep-target", "series_index", "--sweep-values", "2,inf"],
         # a trace is capped by the series term cap like the series itself
         ["--sweep-target", "series_index", "--sweep-values", "6", "--max-terms", "5"],
+        # a trace follows the analytic series, which no other engine has
+        ["--sweep-target", "series_index", "--sweep-values", "1,2", "--engine", "mc"],
+        ["--sweep-target", "series_index", "--sweep-values", "1,2", "--engine", "both"],
     ],
     ids=" ".join,
 )
@@ -231,6 +234,20 @@ def test_bad_sweep_values_are_validation_errors(capsys, loaded_scenario, argv):
 
 
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]
+
+
+def test_out_of_memory_is_one_line_without_traceback(capsys, monkeypatch, loaded_scenario):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 26.8 GiB for an array with shape "
+                          "(60000, 60000) and data type int64")
+
+    monkeypatch.setattr(cli, "coverage_region_raster", exhausted)
+    code = cli.main([*RASTER, "--scenario", loaded_scenario])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == ("usage error: out of memory: Unable to allocate 26.8 GiB "
+                            "for an array with shape (60000, 60000) and data type int64\n")
 
 
 @pytest.mark.parametrize(

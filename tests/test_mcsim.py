@@ -403,17 +403,21 @@ class TestBlockEngine:
         net = self.net()
         rng = np.random.default_rng(51)
         for _ in range(200):
-            trials = int(rng.integers(1, 17))
-            fields = random_block(rng, net.num_tiers, trials)
+            # two blocks of one run, at columns [0, w1) and [w1, w1 + w2)
+            w1, w2 = (int(w) for w in rng.integers(1, 17, size=2))
+            trials = w1 + w2
+            blocks = [(slice(0, w1), random_block(rng, net.num_tiers, w1)),
+                      (slice(w1, trials), random_block(rng, net.num_tiers, w2))]
             flat = [
-                (r2[j, i], k, fade[j, i], active[j, i], i)
-                for i in range(trials)
+                (r2[j, i], k, fade[j, i], active[j, i], columns.start + i)
+                for columns, fields in blocks
+                for i in range(columns.stop - columns.start)
                 for k, (r2, fade, active, present) in enumerate(fields)
                 for j in np.flatnonzero(present[:, i])
             ]
-            columns = list(zip(*flat)) or [()] * 5
+            records = list(zip(*flat)) or [()] * 5
             r2, tier_idx, fade, act, trial_idx = (
-                np.array(c, dtype=d) for c, d in zip(columns, (float, int, float, bool, int))
+                np.array(c, dtype=d) for c, d in zip(records, (float, int, float, bool, int))
             )
             want = bincount_count_covered(net, load, r2, tier_idx, fade, act, trial_idx, trials)
             # a fully-loaded estimate counts the active stations only
@@ -426,14 +430,17 @@ class TestBlockEngine:
                 stations += int(unplaced[:, 1].sum())
 
             def chunks():
-                # each tier as its active and its idle stations, each cut at
-                # a random slot: chunking changes no sum
-                for k, (r2, fade, active, present) in enumerate(fields):
-                    for is_active, mask in ((True, present & active), (False, present & ~active)):
-                        cut = int(rng.integers(0, len(r2) + 1))
-                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
-                        yield (k, is_active, r2[cut:], fade[cut:], mask[cut:],
-                               unplaced[k, 1 - is_active])
+                # the second block first: the columns, not the order, place
+                # a chunk; each tier as its active and its idle stations,
+                # each cut at a random slot: chunking changes no sum
+                for columns, fields in reversed(blocks):
+                    for k, (r2, fade, active, present) in enumerate(fields):
+                        for is_active, mask in ((True, present & active),
+                                                (False, present & ~active)):
+                            cut = int(rng.integers(0, len(r2) + 1))
+                            yield columns, k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
+                            yield (columns, k, is_active, r2[cut:], fade[cut:], mask[cut:],
+                                   unplaced[k, 1 - is_active, columns])
 
             got, interference = mcsim._count_covered(net, (load,), trials, chunks())
             assert got == [(*want, stations)]
@@ -451,8 +458,8 @@ class TestBlockEngine:
 
             def tee():
                 for chunk in chunks:
-                    per_trial[:] += np.count_nonzero(chunk[4], axis=0) + chunk[5]
-                    unplaced.append(np.sum(chunk[5]))
+                    per_trial[chunk[0]] += np.count_nonzero(chunk[5], axis=0) + chunk[6]
+                    unplaced.append(np.sum(chunk[6]))
                     yield chunk
 
             result = reducer(network, loads, trials, tee())
