@@ -110,12 +110,12 @@ class _Series:
     weights: tuple[float, ...] = ()
 
 
-def _network_series(network: Network, eta_over_access: bool) -> _Series:
+def _network_series(network: Network) -> _Series:
     """The general series.  The head term's numerator and the hypergeometric
     sum run over the access tiers, each tier weighted by its active field;
     the head term's denominator keeps every tier because all tiers
     interfere."""
-    dc = derived_constants(network, eta_over_access=eta_over_access)
+    dc = derived_constants(network)
     two_over = 2.0 / network.alpha
     access = [t for _, t in network.access_tiers()]
     active = [
@@ -234,9 +234,7 @@ def _coverage_of(series: list[_Series], control: SeriesControl) -> list[Coverage
     return results
 
 
-def correction_term(
-    network: Network, m: int, *, eta_over_access: bool = False
-) -> float:
+def correction_term(network: Network, m: int) -> float:
     """Signed term m of the coverage correction series.
 
     Closed access restricts the idle weight and the hypergeometric sum to
@@ -244,7 +242,7 @@ def correction_term(
     """
     if m < 1:
         raise ValueError(f"term index must be >= 1, got {m}")
-    series = _network_series(network, eta_over_access)
+    series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=m)[0]
     return terms[-1]
 
@@ -269,7 +267,6 @@ def correction_trace(
     control: SeriesControl | None = None,
     *,
     count: int | None = None,
-    eta_over_access: bool = False,
 ) -> list[SeriesTermTrace]:
     """Term-by-term trace of the correction series.
 
@@ -279,7 +276,7 @@ def correction_trace(
     control = control or _DEFAULT_CONTROL
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    series = _network_series(network, eta_over_access)
+    series = _network_series(network)
     if count is None and series.ratio == 0.0:
         return []
     terms, _ = _series_terms([series], control, count=count)[0]
@@ -335,15 +332,12 @@ def full_load_coverage(network: Network) -> CoverageResult:
     The connectable numerator runs over the access tiers; the denominator
     keeps every tier because all tiers interfere.
     """
-    series = _network_series(network, False)
+    series = _network_series(network)
     return CoverageResult(series.base, series.base, series.base, 0, series.ratio, True)
 
 
 def coverage(
-    network: Network,
-    control: SeriesControl | None = None,
-    *,
-    eta_over_access: bool = False,
+    network: Network, control: SeriesControl | None = None
 ) -> CoverageResult:
     """Coverage probability of the typical user under conditional thinning.
 
@@ -356,14 +350,11 @@ def coverage(
     """
     control = control or _DEFAULT_CONTROL
     _warn_low_targets(network)
-    return _coverage_of([_network_series(network, eta_over_access)], control)[0]
+    return _coverage_of([_network_series(network)], control)[0]
 
 
 def coverage_batch(
-    networks: list[Network],
-    control: SeriesControl | None = None,
-    *,
-    eta_over_access: bool = False,
+    networks: list[Network], control: SeriesControl | None = None
 ) -> list[CoverageResult]:
     """coverage() of every network, with all their series evaluated together
     by one kernel call; each result equals coverage() of its network bit for
@@ -371,14 +362,10 @@ def coverage_batch(
     control = control or _DEFAULT_CONTROL
     for network in networks:
         _warn_low_targets(network)
-    return _coverage_of(
-        [_network_series(network, eta_over_access) for network in networks], control
-    )
+    return _coverage_of([_network_series(network) for network in networks], control)
 
 
-def coverage_bounds(
-    network: Network, m: int, *, eta_over_access: bool = False
-) -> tuple[float, float]:
+def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
     """Sandwich bounds from truncating the series after 2m and 2m-1 terms.
 
     Both bracket the exact coverage for every m; the bracket width equals
@@ -388,18 +375,12 @@ def coverage_bounds(
     """
     if m < 1:
         raise ValueError(f"bound order must be >= 1, got {m}")
-    series = _network_series(network, eta_over_access)
+    series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=2 * m)[0]
     return series.base - math.fsum(terms), series.base - math.fsum(terms[:-1])
 
 
-def truncation_terms(
-    network: Network,
-    epsilon: float,
-    max_terms: int = 10_000,
-    *,
-    eta_over_access: bool = False,
-) -> int:
+def truncation_terms(network: Network, epsilon: float, max_terms: int = 10_000) -> int:
     """Smallest series index whose term magnitude falls below epsilon on the
     decreasing side of the envelope.
 
@@ -407,7 +388,7 @@ def truncation_terms(
     the rounding error of the alternating sum exceeds epsilon.
     """
     control = SeriesControl(epsilon=epsilon, max_terms=max_terms)
-    series = _network_series(network, eta_over_access)
+    series = _network_series(network)
     terms, converged = _series_terms([series], control)[0]
     if not converged:
         raise SeriesConvergenceError(
@@ -458,14 +439,11 @@ def coverage_single_tier(
         )
     unit = Network(alpha=alpha, tiers=(replace(tier, power=1.0, density=1.0),))
     _warn_low_targets(unit)
-    return _coverage_of([_equal_target_series(unit, False)], control or _DEFAULT_CONTROL)[0]
+    return _coverage_of([_equal_target_series(unit)], control or _DEFAULT_CONTROL)[0]
 
 
 def coverage_equal_targets(
-    network: Network,
-    control: SeriesControl | None = None,
-    *,
-    eta_over_access: bool = False,
+    network: Network, control: SeriesControl | None = None
 ) -> CoverageResult:
     """K-tier coverage when all tiers share one target SIR.
 
@@ -479,11 +457,11 @@ def coverage_equal_targets(
             f"equal-target coverage requires one common target SIR, got {sorted(targets)}"
         )
     _warn_low_targets(network)
-    series = _equal_target_series(network, eta_over_access)
+    series = _equal_target_series(network)
     return _coverage_of([series], control or _DEFAULT_CONTROL)[0]
 
 
-def _equal_target_series(network: Network, eta_over_access: bool) -> _Series:
+def _equal_target_series(network: Network) -> _Series:
     alpha = network.alpha
     two_over = 2.0 / alpha
     c_alpha = interference_constant(alpha)
@@ -496,19 +474,14 @@ def _equal_target_series(network: Network, eta_over_access: bool) -> _Series:
     idle_acc = sum(
         (1.0 - t.activity) * weights[i - 1] for i, t in network.access_tiers()
     )
-    active_scale = active_acc if eta_over_access else active_all
-    if not active_scale > 0.0:
-        raise ModelValidationError(
-            "interference scale is zero for the requested tier scope"
-        )
     ratio = (
         math.pi
         * math.gamma(1.0 + two_over)
         * idle_acc
-        / (c_alpha * beta**two_over * active_scale)
+        / (c_alpha * beta**two_over * active_all)
     )
     base = math.pi / c_alpha * beta**-two_over * active_acc / active_all
-    weight = active_acc / (c_alpha * beta**two_over * active_scale)
+    weight = active_acc / (c_alpha * beta**two_over * active_all)
     return _Series(alpha, ratio, base, (beta,), (weight,))
 
 

@@ -161,21 +161,24 @@ def _parse_grid(spec: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ModelValidationError(f"cannot parse grid spec {spec!r}") from exc
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ModelValidationError(f"grid endpoints must be finite, got {spec!r}")
         if count < 1:
             raise ModelValidationError(f"grid count must be >= 1, got {count}")
-        if len(parts) == 4:
-            if start <= 0 or stop <= 0:
-                raise ModelValidationError("log grids need positive endpoints")
-            return [float(v) for v in np.geomspace(start, stop, count)]
-        return [float(v) for v in np.linspace(start, stop, count)]
-    try:
-        values = [float(v) for v in spec.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ModelValidationError(f"cannot parse sweep values {spec!r}") from exc
-    if not values:
-        raise ModelValidationError("sweep values must not be empty")
+        if len(parts) == 4 and (start <= 0 or stop <= 0):
+            raise ModelValidationError("log grids need positive endpoints")
+        # An infinite endpoint or step yields non-finite points, rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            space = np.geomspace if len(parts) == 4 else np.linspace
+            values = [float(v) for v in space(start, stop, count)]
+    else:
+        try:
+            values = [float(v) for v in spec.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ModelValidationError(f"cannot parse sweep values {spec!r}") from exc
+        if not values:
+            raise ModelValidationError("sweep values must not be empty")
+    # float() takes nan, inf and overflowing literals such as 1e400.
+    if not all(math.isfinite(v) for v in values):
+        raise ModelValidationError(f"sweep values must be finite, got {spec!r}")
     return values
 
 
@@ -272,8 +275,6 @@ def _cmd_compare(network, args) -> tuple[str, int, str]:
 
 
 def _sweep_series_index(network, values, control):
-    if not all(math.isfinite(v) for v in values):
-        raise ModelValidationError("series_index values must be finite")
     indices = {round(v) for v in values}
     if min(indices) < 1:
         raise ModelValidationError("series_index values must be >= 1")

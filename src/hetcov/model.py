@@ -213,15 +213,11 @@ class DerivedConstants:
     c_alpha: float
 
 
-def derived_constants(
-    network: Network, *, eta_over_access: bool = False
-) -> DerivedConstants:
+def derived_constants(network: Network) -> DerivedConstants:
     """Compute the series scalars for a validated network.
 
     interference_scale deliberately sums over every tier, because all tiers
-    interfere whether or not they are connectable.  eta_over_access=True
-    evaluates the alternative access-restricted reading for comparison; it
-    is not the default model.
+    interfere whether or not they are connectable.
     """
     alpha = network.alpha
     two_over = 2.0 / alpha
@@ -232,15 +228,9 @@ def derived_constants(
         * t.target_sir**-two_over
         for _, t in network.access_tiers()
     )
-    if eta_over_access:
-        active = sum(t.activity * _weight(t, alpha) for _, t in network.access_tiers())
-    else:
-        active = sum(t.activity * _weight(t, alpha) for t in network.tiers)
-    scale = c_alpha * active
+    scale = c_alpha * sum(t.activity * _weight(t, alpha) for t in network.tiers)
     if not scale > 0.0:
-        raise ModelValidationError(
-            "interference scale is zero for the requested tier scope"
-        )
+        raise ModelValidationError("interference scale is zero: no tier transmits")
     return DerivedConstants(
         idle_weight=idle,
         interference_scale=scale,
@@ -306,9 +296,9 @@ def activity_from_user_density(
     and capping at one gives the probability that a BS of the tier transmits
     in a randomly chosen block.
     """
-    if user_density < 0.0:
+    if not (math.isfinite(user_density) and user_density >= 0.0):
         raise ModelValidationError(
-            f"user_density must be non-negative, got {user_density}"
+            f"user_density must be finite and non-negative, got {user_density}"
         )
     if resource_blocks < 1:
         raise ModelValidationError(

@@ -77,17 +77,19 @@ def random_converging_network(rng: random.Random, k: int | None = None) -> Netwo
     return Network(alpha=alpha, tiers=tuple(tiers))
 
 
-def coverage_mpmath(network: Network, digits: int = 40) -> float:
-    """Independent oracle: the coverage series summed term by term in mpmath
-    at the given working precision, from the tier parameters alone.
+def coverage_mpmath(network: Network, digits: int = 30) -> float:
+    """Independent oracle: the coverage series summed term by term in mpmath,
+    from the tier parameters alone.
 
-    Terms are added until the envelope ratio^m / Gamma(1 + 2m/alpha) is
-    falling and below 10^-(digits - 10), so the result is exact to far
-    below double precision whenever the peak term stays under 10^10.
+    At low activity the alternating terms peak far above one before they
+    cancel, so the working precision is the log10 of the largest envelope
+    ratio^m / Gamma(1 + 2m/alpha) plus digits, as bench/hetbench/oracle.py
+    sets it.  Terms are added until the envelope is falling and below
+    10^-digits, so the result is exact to far below double precision.
     """
     import mpmath
 
-    with mpmath.workdps(digits):
+    def constants():
         alpha = mpmath.mpf(network.alpha)
         delta = 2 / alpha
         c_alpha = 2 * mpmath.pi**2 / (alpha * mpmath.sin(2 * mpmath.pi / alpha))
@@ -105,8 +107,22 @@ def coverage_mpmath(network: Network, digits: int = 40) -> float:
         gamma = mpmath.pi * mpmath.gamma(1 + delta)
         ratio = gamma * mpmath.fsum((1 - p) * w * b**-delta for p, w, b in access) / eta
         head = mpmath.pi / eta * mpmath.fsum(p * w * b**-delta for p, w, b in access)
+        return delta, access, eta, gamma, ratio, head
+
+    # The log envelope is concave in m and 0 at m = 0: it peaks where it
+    # first stops rising.
+    ratio, delta = float(constants()[4]), 2.0 / network.alpha
+    peak, m = 0.0, 1
+    while ratio > 0.0:
+        log_env = m * math.log(ratio) - math.lgamma(1.0 + delta * m)
+        if log_env <= peak:
+            break
+        peak, m = log_env, m + 1
+
+    with mpmath.workdps(int(peak / math.log(10.0)) + digits + 10):
+        delta, access, eta, gamma, ratio, head = constants()
         total = mpmath.mpf(0)
-        floor = mpmath.mpf(10) ** (10 - digits)
+        floor = mpmath.mpf(10) ** -digits
         prev_env = mpmath.mpf(1)
         m = 0
         while ratio > 0:

@@ -24,10 +24,10 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {name}{detail}"
 
 
-def quiet_coverage(net, control=None, **kwargs):
+def quiet_coverage(net, control=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", hc.AssumptionWarning)
-        return hc.coverage(net, control, **kwargs)
+        return hc.coverage(net, control)
 
 
 def test_c01_convergence_threshold_value():

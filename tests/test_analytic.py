@@ -217,16 +217,6 @@ class TestCoverage:
             open_net = Network(alpha=net.alpha, tiers=net.tiers)
             assert coverage(net).value <= coverage(open_net).value + 1e-12
 
-    def test_access_scope_toggle_changes_closed_result(self):
-        net = Network(
-            alpha=3.8,
-            tiers=(Tier(1, 1, 2.0, 0.8), Tier(0.01, 4, 2.0, 0.4)),
-            access=[1],
-        )
-        default = coverage(net).value
-        alternative = coverage(net, eta_over_access=True).value
-        assert default != alternative
-
 
 class TestCoverageBounds:
     def test_fully_loaded_collapses(self):
@@ -493,15 +483,13 @@ class TestSeriesKernel:
         nets.append(single_tier(target_sir=2.0, activity=0.05))  # unconverged
         control = SeriesControl(epsilon=1e-10)
         assert coverage_batch(nets, control) == [coverage(n, control) for n in nets]
-        alternative = coverage_batch(nets, control, eta_over_access=True)
-        assert alternative == [coverage(n, control, eta_over_access=True) for n in nets]
 
     def test_tier_sum_matches_hypergeometric_sum(self):
         rng = random.Random(32)
         m = np.arange(1.0, 41.0)
         for _ in range(20):
             net = random_network(rng, closed=rng.random() < 0.4)
-            series = _network_series(net, False)
+            series = _network_series(net)
             rows = _hyper_rows(
                 np.full(len(series.betas), 2.0 / net.alpha), np.array(series.betas), m
             )
@@ -566,6 +554,14 @@ class TestAgainstMpmathOracle:
         reference = coverage_mpmath(net)
         assert abs(result.value - reference) <= result.upper - result.lower + 1e-12
 
+    def test_oracle_precision_follows_the_peak_term(self):
+        # The term envelope peaks near 1e71 here; 40 fixed digits returned 5.7e30.
+        pytest.importorskip("mpmath")
+        net = single_tier(target_sir=2.0, activity=0.03)
+        reference = coverage_mpmath(net)
+        assert reference == pytest.approx(0.99844001431, abs=1e-11)
+        assert abs(reference - coverage_mpmath(net, digits=60)) <= 1e-15
+
 
 class TestLowLoad:
     """At low activity the alternating terms grow far beyond one before they
@@ -589,3 +585,19 @@ class TestLowLoad:
         with pytest.raises(SeriesConvergenceError):
             truncation_terms(net, 1e-10)
         assert all(math.isfinite(t.term) for t in correction_trace(net, count=400))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the rounding estimate u * sum |t_m| is 2-8x optimistic once the "
+        "peak term passes ~1e4: this point reports converged 1.8e-10 from the "
+        "oracle, outside its 6.75e-11 bracket",
+    )
+    def test_converged_value_within_its_bracket_of_the_oracle(self):
+        pytest.importorskip("mpmath")
+        net = single_tier(target_sir=2.0, activity=0.1)
+        result = coverage(net)
+        reference = coverage_mpmath(net)
+        assert (
+            not result.converged
+            or abs(result.value - reference) <= result.upper - result.lower + 1e-13
+        )

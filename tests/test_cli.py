@@ -214,6 +214,11 @@ def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
         ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:x"],
         # numpy would print a RuntimeWarning for the infinite grid step
         ["--sweep-target", "tier[1].density", "--sweep-values", "1:inf:3"],
+        # min(1, nan) is 1: a nan user density must not pass as full activity
+        ["--sweep-target", "user_density", "--sweep-values", "nan", "--resource-blocks", "10"],
+        ["--sweep-target", "user_density", "--sweep-values", "nan", "--resource-blocks", "10",
+         "--engine", "mc"],
+        ["--sweep-target", "user_density", "--sweep-values", "1e400", "--resource-blocks", "10"],
         ["--sweep-target", "series_index", "--sweep-values", "nan"],
         ["--sweep-target", "series_index", "--sweep-values", "2,inf"],
         # a trace is capped by the series term cap like the series itself

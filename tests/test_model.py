@@ -147,16 +147,6 @@ class TestDerivedConstants:
                 derived_constants(net).a_over_eta, rel=1e-12
             )
 
-    def test_scale_restricted_to_access_is_optional(self):
-        net = Network(
-            alpha=3.8,
-            tiers=(tier(activity=0.9), tier(power=0.01, activity=0.5)),
-            access=[1],
-        )
-        full = derived_constants(net)
-        restricted = derived_constants(net, eta_over_access=True)
-        assert restricted.interference_scale < full.interference_scale
-
 
 class TestHypergeometricSum:
     def test_silent_tiers_contribute_nothing(self):
@@ -272,6 +262,9 @@ class TestActivityCalibration:
     def test_input_domains(self):
         with pytest.raises(ModelValidationError):
             activity_from_user_density(self.fig5_network(), -1.0, 20)
+        for user_density in (math.nan, math.inf):
+            with pytest.raises(ModelValidationError):
+                activity_from_user_density(self.fig5_network(), user_density, 20)
         with pytest.raises(ModelValidationError):
             activity_from_user_density(self.fig5_network(), 1.0, 0)
 
@@ -375,3 +368,27 @@ class TestScenarioFormat:
         doc["tiers"][0]["power"] = -1.0
         with pytest.raises(ModelValidationError, match="^power must be positive, got -1.0$"):
             network_from_dict(doc)
+
+
+def test_public_names_stay():
+    import hetcov
+
+    assert sorted(hetcov.__all__) == [
+        "AssumptionWarning", "CoverageResult", "DerivedConstants", "Estimate",
+        "ModelValidationError", "Network", "Realization", "SeriesControl",
+        "SeriesConvergenceError", "SeriesTermTrace", "SeriesTolerance", "SimConfig",
+        "SystemEstimate", "Tier", "activity_from_user_density",
+        "closed_form_first_terms", "convergence_threshold", "correction_term",
+        "correction_trace", "coverage", "coverage_bounds", "coverage_equal_targets",
+        "coverage_idle_only", "coverage_region_raster", "coverage_single_tier",
+        "default_window_radius", "derived_constants", "draw_realization",
+        "effective_load", "estimate_coverage", "estimate_coverage_system",
+        "full_load_coverage", "gauss_2f1", "hypergeometric_sum",
+        "interference_constant", "laplace_interference", "log_gamma",
+        "network_from_dict", "network_from_json", "network_to_dict",
+        "network_to_json", "raster_to_csv", "realization_to_csv", "sample_hex_grid",
+        "sample_ppp", "split_access_fraction", "tier_addition_effect",
+        "truncation_terms", "user_fraction_per_tier", "validate",
+        "validation_warnings",
+    ]
+    assert all(hasattr(hetcov, name) for name in hetcov.__all__)
