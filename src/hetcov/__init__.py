@@ -4,121 +4,16 @@ networks.
 Exact series coverage probabilities with truncation bounds for networks
 whose interference field is conditionally thinned by per-tier activity
 factors, together with an independent Monte Carlo simulator of the same
-model for cross-validation.
+model for cross-validation.  The package re-exports the public names of
+its four modules; each module's __all__ is the one list of them.
 """
 
-from .analytic import (
-    SeriesTermTrace,
-    closed_form_first_terms,
-    convergence_threshold,
-    correction_term,
-    correction_trace,
-    coverage,
-    coverage_bounds,
-    coverage_equal_targets,
-    coverage_idle_only,
-    coverage_single_tier,
-    full_load_coverage,
-    laplace_interference,
-    tier_addition_effect,
-    truncation_terms,
-)
-from .mcsim import (
-    Estimate,
-    Realization,
-    SimConfig,
-    SystemEstimate,
-    coverage_region_raster,
-    default_window_radius,
-    draw_realization,
-    estimate_coverage,
-    estimate_coverage_system,
-    raster_to_csv,
-    realization_to_csv,
-    sample_hex_grid,
-    sample_ppp,
-)
-from .model import (
-    AssumptionWarning,
-    CoverageResult,
-    DerivedConstants,
-    ModelValidationError,
-    Network,
-    SeriesControl,
-    Tier,
-    activity_from_user_density,
-    derived_constants,
-    effective_load,
-    hypergeometric_sum,
-    network_from_dict,
-    network_from_json,
-    network_to_dict,
-    network_to_json,
-    split_access_fraction,
-    user_fraction_per_tier,
-    validate,
-    validation_warnings,
-)
-from .specfun import (
-    SeriesConvergenceError,
-    SeriesTolerance,
-    gauss_2f1,
-    interference_constant,
-    log_gamma,
-)
+from . import analytic, mcsim, model, specfun
+from .analytic import *  # noqa: F401,F403
+from .mcsim import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionWarning",
-    "CoverageResult",
-    "DerivedConstants",
-    "Estimate",
-    "ModelValidationError",
-    "Network",
-    "Realization",
-    "SeriesControl",
-    "SeriesConvergenceError",
-    "SeriesTermTrace",
-    "SeriesTolerance",
-    "SimConfig",
-    "SystemEstimate",
-    "Tier",
-    "activity_from_user_density",
-    "closed_form_first_terms",
-    "convergence_threshold",
-    "correction_term",
-    "correction_trace",
-    "coverage",
-    "coverage_bounds",
-    "coverage_equal_targets",
-    "coverage_idle_only",
-    "coverage_region_raster",
-    "coverage_single_tier",
-    "default_window_radius",
-    "derived_constants",
-    "draw_realization",
-    "effective_load",
-    "estimate_coverage",
-    "estimate_coverage_system",
-    "full_load_coverage",
-    "gauss_2f1",
-    "hypergeometric_sum",
-    "interference_constant",
-    "laplace_interference",
-    "log_gamma",
-    "network_from_dict",
-    "network_from_json",
-    "network_to_dict",
-    "network_to_json",
-    "raster_to_csv",
-    "realization_to_csv",
-    "sample_hex_grid",
-    "sample_ppp",
-    "split_access_fraction",
-    "tier_addition_effect",
-    "truncation_terms",
-    "user_fraction_per_tier",
-    "validate",
-    "validation_warnings",
-]
+__all__ = analytic.__all__ + mcsim.__all__ + model.__all__ + specfun.__all__

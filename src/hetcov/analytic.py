@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1
@@ -52,7 +53,6 @@ __all__ = [
     "closed_form_first_terms",
     "full_load_coverage",
     "coverage",
-    "coverage_batch",
     "coverage_bounds",
     "truncation_terms",
     "convergence_threshold",
@@ -271,7 +271,8 @@ def correction_trace(
     """Term-by-term trace of the correction series.
 
     With count given, exactly that many terms are emitted regardless of the
-    stopping rule; otherwise the trace ends where the rule fires.
+    stopping rule; otherwise the trace ends where the rule fires.  Terms
+    whose envelope overflows are inf, and so is their majorant.
     """
     control = control or _DEFAULT_CONTROL
     if count is not None and count < 1:
@@ -281,17 +282,19 @@ def correction_trace(
         return []
     terms, _ = _series_terms([series], control, count=count)[0]
     m = np.arange(1.0, len(terms) + 1.0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         majorants = np.exp(m * np.log(series.ratio) - gammaln(1.0 + 2.0 * m / network.alpha))
-    return [
-        SeriesTermTrace(
-            index=index,
-            term=term,
-            majorant=float(majorant),
-            partial_sum=math.fsum(terms[:index]),
-        )
-        for index, (term, majorant) in enumerate(zip(terms, majorants), start=1)
-    ]
+    trace, exact, total = [], Fraction(0), 0.0
+    for index, (term, majorant) in enumerate(zip(terms, majorants), start=1):
+        # the exact running sum rounds as math.fsum of the prefix does, in
+        # one pass; once the float sum is not finite (from the first
+        # non-finite term on) it stays inf or nan, where fsum raises
+        total += term
+        if math.isfinite(total):
+            exact += Fraction(term)
+            total = float(exact)
+        trace.append(SeriesTermTrace(index, term, float(majorant), total))
+    return trace
 
 
 def closed_form_first_terms(network: Network) -> tuple[float, float]:
@@ -371,12 +374,17 @@ def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
     Both bracket the exact coverage for every m; the bracket width equals
     the magnitude of term 2m (up to one floating-point rounding of the
     endpoints), so the bounds tighten at the series decay rate once past
-    the envelope hump.
+    the envelope hump.  Raises SeriesConvergenceError when one of the 2m
+    terms is not finite.
     """
     if m < 1:
         raise ValueError(f"bound order must be >= 1, got {m}")
     series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=2 * m)[0]
+    if not all(map(math.isfinite, terms)):
+        raise SeriesConvergenceError(
+            f"a term of the first {2 * m} overflows (A/eta = {series.ratio:.4g})"
+        )
     return series.base - math.fsum(terms), series.base - math.fsum(terms[:-1])
 
 

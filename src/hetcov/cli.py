@@ -286,7 +286,8 @@ def _sweep_series_index(network, values, control):
     trace = correction_trace(network, control, count=max(indices))
     header = ["m", "term", "partial_sum", "majorant"]
     rows = [(t.index, t.term, t.partial_sum, t.majorant) for t in trace if t.index in indices]
-    return header, rows, []  # a trace has no convergence to report
+    # a trace fails only from its first overflowing term on, where no sum is finite
+    return header, rows, [m for m, _, total, _ in rows if not math.isfinite(total)]
 
 
 def _sweep_points(network, target, values, args):

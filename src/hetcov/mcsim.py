@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network
+from .model import ModelValidationError, Network
 
 __all__ = [
     "SimConfig",
@@ -79,6 +79,9 @@ _IDLE_STEP = 32
 # margin covers the rounding of the signals compared against it.
 _FADE_MAX = -math.log1p(-math.nextafter(1.0, 0.0)) * (1.0 + 1e-9)
 _UINT64_MASK = (1 << 64) - 1
+# Most expected points (stations, and users in the system simulation) a
+# trial's window may hold: ~4 GB where each station's position is stored.
+_MAX_WINDOW_POINTS = 1e8
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ class Estimate:
     as a fraction of the median per-trial interference sampled inside it.
 
     The station count includes the idle stations past an idle stream's
-    cutoff, which are counted, not placed (_poisson_tier)."""
+    cutoff, which are counted, not placed (_poisson_tier).  Every
+    estimator returns one, the system simulation as a SystemEstimate."""
 
     mean: float
     stderr: float
@@ -133,8 +137,8 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class SystemEstimate:
-    """Coverage estimate from the detailed load simulation plus the per-tier
+class SystemEstimate(Estimate):
+    """An Estimate from the detailed load simulation, plus the per-tier
     load diagnostics gathered on the way.
 
     tier_user_fraction is measured on users in the inner half of the window,
@@ -143,16 +147,9 @@ class SystemEstimate:
     tier_mean_activity.
     """
 
-    mean: float
-    stderr: float
-    trials: int
     tier_user_fraction: tuple[float, ...]
     tier_user_fraction_stderr: tuple[float, ...]
     tier_mean_activity: tuple[float, ...]
-    window_radius: float
-    empty_trials: int
-    mean_stations_per_trial: float
-    truncated_interference_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,25 +195,39 @@ def _truncation_bound(
     """Mean interference from outside the window, sum_i p_i lambda_i P_i *
     2 pi R^(2 - alpha) / (alpha - 2) with unit-mean fading, over the median
     of the per-trial interference sampled inside it (inf when that median
-    is 0).  The median, not the mean: under the singular path loss the
-    in-window interference has no finite mean, so its sample mean would
-    follow the rare trials with a station next to the centre."""
+    is 0, or when R^(2 - alpha) overflows).  The median, not the mean: under
+    the singular path loss the in-window interference has no finite mean,
+    so its sample mean would follow the rare trials with a station next to
+    the centre."""
     alpha = network.alpha
-    outside = sum(
-        p * t.density * t.power for p, t in zip(activities, network.tiers)
-    ) * (2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0))
+    weight = sum(p * t.density * t.power for p, t in zip(activities, network.tiers))
+    try:
+        outside = weight * (2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0))
+    except OverflowError:
+        outside = math.inf if weight > 0.0 else 0.0
     median = float(np.median(interference))
     if median > 0.0:
         return outside / median
     return math.inf if outside > 0.0 else 0.0
 
 
-def _binomial_estimate(counts, trials: int, radius: float, bound: float) -> Estimate:
-    """The estimate of the (covered, empty, stations) counts of trials; warns
-    when more than 0.1% of the trials held no candidate station.  The
-    warning names the first caller outside this module, however deep the
-    estimator's own calls go."""
-    successes, empty, stations = counts
+def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
+    """The estimate of one load from a run's per-trial state (_count_covered).
+
+    A load covers the centre user when a candidate it admits (see
+    estimate_coverage) clears its tier target, signal >= threshold *
+    interference, that is when the largest signal / threshold over those
+    candidates reaches the interference; a trial without any such candidate
+    counts as empty.  A load's stations are the active ones, plus the idle
+    ones if it admits idle candidates.  Warns when more than 0.1% of the
+    trials held no candidate station; the warning names the first caller
+    outside this module, however deep the estimator's own calls go."""
+    interference, best, found, stations = run
+    trials = len(interference)
+    admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
+    hit = found[admits].any(axis=0)
+    covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
+    empty = trials - int(np.count_nonzero(hit))
     if empty > 0.001 * trials:
         frame, level = sys._getframe(), 1
         while frame is not None and frame.f_code.co_filename == __file__:
@@ -226,7 +237,7 @@ def _binomial_estimate(counts, trials: int, radius: float, bound: float) -> Esti
             "in the window; enlarge the window or densities",
             stacklevel=level,
         )
-    mean = successes / trials
+    mean = covered / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
     return Estimate(
         mean=mean,
@@ -234,9 +245,20 @@ def _binomial_estimate(counts, trials: int, radius: float, bound: float) -> Esti
         trials=trials,
         window_radius=radius,
         empty_trials=empty,
-        mean_stations_per_trial=stations / trials,
+        mean_stations_per_trial=(stations[0] + stations[1] * admits[1]) / trials,
         truncated_interference_bound=bound,
     )
+
+
+def _check_window(radius: float, densities) -> None:
+    """Reject, before anything is drawn, a window that holds no point (its
+    area underflows) or more than _MAX_WINDOW_POINTS expected points per
+    trial; radius * radius cannot raise where radius**2 can."""
+    expected = math.pi * (radius * radius) * sum(densities)
+    if not 0.0 < expected <= _MAX_WINDOW_POINTS:
+        raise ModelValidationError(
+            f"a window of radius {radius:.6g} holds {expected:.3g} expected points per "
+            f"trial, outside (0, {_MAX_WINDOW_POINTS:g}]")
 
 
 def _disc_radius(densities, min_points: int) -> float:
@@ -346,6 +368,7 @@ def draw_realization(
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+    _check_window(radius, [t.density for t in network.tiers])
     positions, tier, fading, uniforms = _sample_field(network, radius, rng, placement)
     activity = np.array([t.activity for t in network.tiers])
     power = np.array([t.power for t in network.tiers])
@@ -360,9 +383,10 @@ def draw_realization(
     )
 
 
-def _count_covered(network: Network, loads, trials: int, chunks):
-    """Per-load (covered, empty, stations) over the trials of a run laid out
-    as columns, and the in-window interference of each trial.
+def _count_covered(network: Network, trials: int, chunks):
+    """The per-trial state of a run laid out as columns: (interference,
+    best, found, stations), whatever the load (_binomial_estimate decides
+    each load from it).
 
     chunks yields (columns, tier, active, r2, fade, present, unplaced):
     columns is the slice of run columns the chunk fills, active says
@@ -372,18 +396,14 @@ def _count_covered(network: Network, loads, trials: int, chunks):
     where present is set, and padding (finite, with r2 > 0) elsewhere;
     unplaced is 0 or the per-trial numbers of further stations of the
     chunk's kind, counted but not placed.  Per trial of the run the
-    reducer keeps the interference of the active stations, the largest
-    accessible active signal / delta, the largest accessible idle signal /
-    target SIR, whether either kind of candidate was found and the station
-    count per kind.  A load then covers the centre user when a candidate it
-    admits (see estimate_coverage) clears its tier target, signal >=
-    threshold * interference, that is when the largest signal / threshold
-    over those candidates reaches the interference; a trial without any
-    such candidate counts as empty.  A load's stations are the active ones,
-    plus the idle ones if it admits idle candidates.  The interference of a
-    column is summed slot by slot in the order of its chunks, so cutting a
-    chunk's slots into more chunks changes no sum, nor does the order of
-    chunks that fill different columns.
+    reducer keeps the interference of the active stations; in rows
+    [active, idle] of best and found, the largest accessible active
+    signal / delta and the largest accessible idle signal / target SIR,
+    and whether a candidate of that kind was found; and the run's station
+    count per kind, [active, idle].  The interference of a column is
+    summed slot by slot in the order of its chunks, so cutting a chunk's
+    slots into more chunks changes no sum, nor does the order of chunks
+    that fill different columns.
     """
     interference = np.zeros(trials)
     best = np.zeros((2, trials))  # [active, idle]
@@ -416,14 +436,7 @@ def _count_covered(network: Network, loads, trials: int, chunks):
                 np.add.reduce(signal, axis=0, out=heard)
             else:
                 heard[:] = np.cumsum(signal, axis=0)[-1]
-    counts = []
-    for load in loads:
-        admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
-        hit = found[admits].any(axis=0)
-        covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
-        empty = trials - int(np.count_nonzero(hit))
-        counts.append((covered, empty, stations[0] + stations[1] * admits[1]))
-    return counts, interference
+    return interference, best, found, stations
 
 
 def _poisson_tier(
@@ -534,6 +547,7 @@ def _estimate_loads(
     radius = sim.window_radius or default_window_radius(
         network, sim.min_expected_points
     )
+    _check_window(radius, [t.density for t in network.tiers])
     with_idle = any(load != "fully-loaded" for load in loads)
 
     def chunks():
@@ -564,9 +578,9 @@ def _estimate_loads(
                     ):
                         yield (columns, k, stream == 0, *chunk)
 
-    counts, interference = _count_covered(network, loads, sim.trials, chunks())
-    bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, interference)
-    return [_binomial_estimate(c, sim.trials, radius, bound) for c in counts]
+    run = _count_covered(network, sim.trials, chunks())
+    bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
+    return [_binomial_estimate(run, load, radius, bound) for load in loads]
 
 
 def estimate_coverage(
@@ -638,6 +652,7 @@ def estimate_coverage_system(
     radius = sim.window_radius or _disc_radius(
         [t.density for t in network.tiers], sim.min_expected_points
     )
+    _check_window(radius, [user_density] + [t.density for t in network.tiers])
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2
@@ -692,9 +707,7 @@ def estimate_coverage_system(
                 yield columns, k, True, r2, fade, present & active, 0
                 yield columns, k, False, r2, fade, present & ~active, 0
 
-    (counts,), interference = _count_covered(
-        network, ("conditional-thinning",), sim.trials, chunks()
-    )
+    run = _count_covered(network, sim.trials, chunks())
     if len(fractions) > 1:
         stacked = np.vstack(fractions)
         frac_mean = stacked.mean(axis=0)
@@ -708,9 +721,9 @@ def estimate_coverage_system(
         out=np.zeros(K),
         where=activity_counts > 0,
     )
-    bound = _truncation_bound(network, mean_activity, radius, interference)
+    bound = _truncation_bound(network, mean_activity, radius, run[0])
     return SystemEstimate(
-        **vars(_binomial_estimate(counts, sim.trials, radius, bound)),
+        **vars(_binomial_estimate(run, "conditional-thinning", radius, bound)),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),

@@ -127,10 +127,6 @@ class Network:
     def is_open_access(self) -> bool:
         return self.access == frozenset(range(1, self.num_tiers + 1))
 
-    def in_access(self, index: int) -> bool:
-        """Whether the 1-based tier index is connectable."""
-        return index in self.access
-
     def access_tiers(self) -> list[tuple[int, Tier]]:
         """(1-based index, tier) pairs of the connectable tiers, in order."""
         return [(i, t) for i, t in enumerate(self.tiers, start=1) if i in self.access]

@@ -299,6 +299,16 @@ class TestCorrectionTrace:
         with pytest.raises(ValueError):
             correction_trace(single_tier(), count=0)
 
+    def test_partial_sums_are_fsums_of_the_prefixes(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            net = random_network(rng, activity_range=(0.02, 1.0))
+            trace = correction_trace(net, count=rng.randint(16, 1500))
+            terms = [t.term for t in trace]
+            assert [t.partial_sum for t in trace] == [
+                math.fsum(terms[:i]) for i in range(1, len(terms) + 1)
+            ]
+
 
 class TestConvergenceThreshold:
     def test_unit_target_exponent_four(self):
@@ -585,6 +595,17 @@ class TestLowLoad:
         with pytest.raises(SeriesConvergenceError):
             truncation_terms(net, 1e-10)
         assert all(math.isfinite(t.term) for t in correction_trace(net, count=400))
+
+    def test_overflowing_terms_read_inf_or_raise(self):
+        # the envelope passes 1e308 near index 200, and fsum of an inf and
+        # a -inf raises
+        net = single_tier(target_sir=10.0 ** 0.3, activity=0.001)
+        trace = correction_trace(net, count=400)
+        assert math.isfinite(trace[99].partial_sum)
+        assert math.isinf(trace[-1].term) and math.isinf(trace[-1].majorant)
+        assert math.isnan(trace[-1].partial_sum)
+        with pytest.raises(SeriesConvergenceError):
+            coverage_bounds(net, 300)
 
     @pytest.mark.xfail(
         strict=True,

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hetcov import Network, Tier, cli, coverage
+from hetcov import Estimate, Network, Tier, cli, coverage
 
 
 def write_scenario(path, doc) -> str:
@@ -238,6 +239,34 @@ def test_bad_sweep_values_are_validation_errors(capsys, loaded_scenario, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--radius", "1e300"],
+        # the window's area underflows to 0, and R^(2 - alpha) overflows
+        ["simulate", "--radius", "1e-300"],
+        ["simulate", "--radius", "1e-300", "--load", "system", "--user-density", "5",
+         "--resource-blocks", "10"],
+        ["raster", "--radius", "1e300"],
+        # the default window of the sparse tier holds ~1e302 of the other's stations
+        ["sweep", "--sweep-target", "tier[1].density", "--sweep-values", "1e-300",
+         "--engine", "mc"],
+        ["simulate", "--min-points", "1000000000000"],
+    ],
+    ids=" ".join,
+)
+def test_windows_that_cannot_be_sampled_are_validation_errors(capsys, loaded_scenario, argv):
+    start = time.perf_counter()
+    code = cli.main([*argv, "--scenario", loaded_scenario])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert captured.err.count("\n") == 1
+    assert elapsed < 1.0
+
+
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]
 
 
@@ -339,7 +368,14 @@ class TestSimulateCommand:
             assert captured.out == ""
             assert captured.err.count("\n") == 1
 
-    def test_system_load_reports_diagnostics(self, capsys, loaded_scenario):
+    def test_system_load_reports_diagnostics(self, capsys, monkeypatch, loaded_scenario):
+        estimate, results = cli.estimate_coverage_system, []
+
+        def recording(*args):
+            results.append(estimate(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "estimate_coverage_system", recording)
         code, report = run_json(
             capsys,
             [
@@ -363,6 +399,13 @@ class TestSimulateCommand:
         assert len(report["tier_user_fraction_stderr"]) == 2
         assert len(report["tier_mean_activity"]) == 2
         assert report["window_radius"] == 6.0
+        assert isinstance(results[0], Estimate)
+        assert sorted(report) == [
+            "empty_trials", "engine", "load", "mean", "mean_stations_per_trial",
+            "resource_blocks", "seed", "stderr", "tier_mean_activity",
+            "tier_user_fraction", "tier_user_fraction_stderr", "trials",
+            "truncated_interference_bound", "user_density", "window_radius",
+        ]
 
     def test_system_load_reports_the_window_it_ran_with(self, capsys, tmp_path):
         # the system window holds 500 stations of the sparsest raw density;
@@ -482,6 +525,26 @@ class TestSweepCommand:
         assert len(rows) == 12
         partial = [float(row[2]) for row in rows]
         assert partial[0] != 0.0
+
+    def test_overflowing_trace_terms_exit_3_with_every_row(self, capsys, tmp_path):
+        # from index ~200 on the terms of this low-load net overflow doubles
+        scenario = write_scenario(tmp_path / "lowest.json", {
+            "alpha": 4.0,
+            "tiers": [{"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.001}],
+        })
+        start = time.perf_counter()
+        code = cli.main(["sweep", "--scenario", scenario, "--sweep-target", "series_index",
+                         "--sweep-values", "1,100,400"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NONCONVERGENCE
+        body = [l for l in captured.out.splitlines() if not l.startswith("#")]
+        assert [row.split(",")[0] for row in body[1:]] == ["1", "100", "400"]
+        assert math.isfinite(float(body[2].split(",")[2]))
+        assert body[3].split(",")[1:] == ["inf", "nan", "inf"]
+        assert captured.err == ("non-convergence: the series did not converge at "
+                                "series_index = 400\n")
+        assert elapsed < 1.0
 
     def test_both_engines_emit_mc_columns(self, capsys, loaded_scenario):
         code, _, header, rows = run_csv(

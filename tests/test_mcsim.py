@@ -4,6 +4,7 @@ the coverage-region raster."""
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,9 +443,14 @@ class TestBlockEngine:
                             yield (columns, k, is_active, r2[cut:], fade[cut:], mask[cut:],
                                    unplaced[k, 1 - is_active, columns])
 
-            got, interference = mcsim._count_covered(net, (load,), trials, chunks())
-            assert got == [(*want, stations)]
-            np.testing.assert_allclose(interference, heard, rtol=1e-12, atol=0.0)
+            run = mcsim._count_covered(net, trials, chunks())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # most trials hold no candidate
+                est = mcsim._binomial_estimate(run, load, 1.0, 0.0)
+            got = (round(est.mean * trials), est.empty_trials,
+                   round(est.mean_stations_per_trial * trials))
+            assert got == (*want, stations)
+            np.testing.assert_allclose(run[0], heard, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
     def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, placement):
@@ -453,7 +459,7 @@ class TestBlockEngine:
         # per trial of the latest run: stations and in-window interference
         stations, heard, unplaced = [], [], []  # unplaced over all runs
 
-        def counting(network, loads, trials, chunks):
+        def counting(network, trials, chunks):
             per_trial = np.zeros(trials, dtype=np.int64)
 
             def tee():
@@ -462,9 +468,9 @@ class TestBlockEngine:
                     unplaced.append(np.sum(chunk[6]))
                     yield chunk
 
-            result = reducer(network, loads, trials, tee())
+            result = reducer(network, trials, tee())
             stations.extend(per_trial.tolist())
-            heard.extend(result[1].tolist())
+            heard.extend(result[0].tolist())
             return result
 
         monkeypatch.setattr(mcsim, "_count_covered", counting)

@@ -391,4 +391,6 @@ def test_public_names_stay():
         "truncation_terms", "user_fraction_per_tier", "validate",
         "validation_warnings",
     ]
+    # a name listed twice would be bound by two star imports, one silently
+    assert len(set(hetcov.__all__)) == len(hetcov.__all__)
     assert all(hasattr(hetcov, name) for name in hetcov.__all__)
