@@ -238,12 +238,15 @@ def correction_term(network: Network, m: int) -> float:
     """Signed term m of the coverage correction series.
 
     Closed access restricts the idle weight and the hypergeometric sum to
-    the access tiers while the interference scale keeps all tiers.
+    the access tiers while the interference scale keeps all tiers.  Raises
+    SeriesConvergenceError when the term is not finite (it overflows).
     """
     if m < 1:
         raise ValueError(f"term index must be >= 1, got {m}")
     series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=m)[0]
+    if not math.isfinite(terms[-1]):
+        raise SeriesConvergenceError(f"term {m} overflows (A/eta = {series.ratio:.4g})")
     return terms[-1]
 
 

@@ -516,7 +516,8 @@ def main(argv=None) -> int:
     report and turns errors into exit codes.  A command returns (text, exit
     code, note); a non-empty note goes to stderr once the text is written.
     Assumption warnings are silenced because the reports list them
-    (validation_warnings)."""
+    (validation_warnings); every other warning goes to stderr after the
+    text as one "warning: <message>" line, each distinct message once."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -524,10 +525,12 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         network = _load_network(args.scenario)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("ignore", AssumptionWarning)
             text, code, note = args.func(network, args)
         _emit(text, args.out)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
         if note:
             print(note, file=sys.stderr)
         return code

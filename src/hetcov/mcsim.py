@@ -80,7 +80,8 @@ _IDLE_STEP = 32
 _FADE_MAX = -math.log1p(-math.nextafter(1.0, 0.0)) * (1.0 + 1e-9)
 _UINT64_MASK = (1 << 64) - 1
 # Most expected points (stations, and users in the system simulation) a
-# trial's window may hold: ~4 GB where each station's position is stored.
+# trial's window, or one call of a public sampler, may hold: ~4 GB where
+# each station's position is stored.
 _MAX_WINDOW_POINTS = 1e8
 
 
@@ -276,13 +277,25 @@ def default_window_radius(network: Network, min_expected_points: int = 500) -> f
     )
 
 
-def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson field on the disc: Poisson count, uniform points."""
+def _expected_points(density: float, radius: float) -> float:
+    """Expected points of the given density on the disc (none at density 0,
+    whatever the radius); raises ValueError when that is not finite or
+    exceeds _MAX_WINDOW_POINTS."""
     if density < 0.0:
         raise ValueError(f"density must be non-negative, got {density}")
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    n = rng.poisson(density * math.pi * radius**2)
+    expected = density * math.pi * (radius * radius) if density > 0.0 else 0.0
+    if not expected <= _MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"a disc of radius {radius:.6g} at density {density:.6g} holds {expected:.3g} "
+            f"expected points, more than {_MAX_WINDOW_POINTS:g}")
+    return expected
+
+
+def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """Homogeneous Poisson field on the disc: Poisson count, uniform points."""
+    n = rng.poisson(_expected_points(density, radius))
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
@@ -326,6 +339,7 @@ def sample_hex_grid(
     cell and a uniformly random rotation, so the typical point at the origin
     sees translation-invariant statistics across draws.
     """
+    _expected_points(density, radius)
     x, y = _hex_sites(density, radius, rng.random(2))
     angle = 2.0 * math.pi * rng.random()
     keep = x * x + y * y <= radius * radius
@@ -642,8 +656,9 @@ def estimate_coverage_system(
     factors are an outcome here, not an input, so the default window is
     sized from the raw station densities.  Trial t draws from its own
     (seed, t) stream; trials are tested in blocks of _BLOCK_TRIALS, as in
-    estimate_coverage, in one reducer pass over the run, and every
-    diagnostic is summed in trial order.
+    estimate_coverage, in one reducer pass over the run.  Each trial
+    returns its load diagnostics, kept as one row per trial and reduced
+    once after the run, in trial order.
     """
     if user_density < 0.0:
         raise ValueError(f"user_density must be non-negative, got {user_density}")
@@ -656,39 +671,34 @@ def estimate_coverage_system(
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2
-    fractions: list[np.ndarray] = []
-    activity_sums = np.zeros(K)
-    activity_counts = np.zeros(K, dtype=np.int64)
+    # one row per trial, stored by the block loop from what trial() returns
+    shares, activity_sums = np.empty((2, sim.trials, K))
+    station_counts = np.empty((sim.trials, K), dtype=np.int64)
 
     def trial(t: int):
-        """Trial t's stations per tier as (r2, fade, active); adds its load
-        diagnostics to the run's: the inner users' tier shares (none without
-        inner users), the per-tier activity sums and station counts."""
+        """Trial t's stations per tier as (r2, fade, active), the tier shares
+        of its inner users (nan without inner users), and its per-tier
+        activity sums and station counts."""
         rng = _trial_rng(sim.seed, t)
         positions, tier_idx, fade, uniforms = _sample_field(network, radius, rng, "ppp")
         users = sample_ppp(user_density, radius, rng)
         counts_per_tier = np.bincount(tier_idx, minlength=K)
-        offsets = np.concatenate(([0], np.cumsum(counts_per_tier)))
-        n_bs, n_users = len(tier_idx), len(users)
+        cuts = np.cumsum(counts_per_tier)[:-1]
         # Without stations nobody is served and the trial counts as not
         # covered; without users every station stays idle.
-        served = np.zeros(n_bs, dtype=np.int64)
-        if n_bs and n_users:
+        served = np.zeros(len(tier_idx), dtype=np.int64)
+        share = np.full(K, np.nan)
+        if len(tier_idx) and len(users):
             chosen = _serving_station(users, positions, rank[tier_idx])
-            best_tier = tier_idx[chosen]
-            served = np.bincount(chosen, minlength=n_bs)
+            served = np.bincount(chosen, minlength=len(tier_idx))
             inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
             n_inner = int(np.count_nonzero(inner))
             if n_inner:
-                fractions.append(np.bincount(best_tier[inner], minlength=K) / n_inner)
-
+                share = np.bincount(tier_idx[chosen][inner], minlength=K) / n_inner
         activity = np.minimum(served / resource_blocks, 1.0)
         r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-        active = uniforms < activity
-        tiers = [slice(offsets[i], offsets[i + 1]) for i in range(K)]
-        activity_sums[:] += np.array([np.sum(activity[s]) for s in tiers])
-        activity_counts[:] += counts_per_tier
-        return [(r2[s], fade[s], active[s]) for s in tiers]
+        stations = list(zip(*(np.split(a, cuts) for a in (r2, fade, uniforms < activity))))
+        return stations, share, [np.sum(a) for a in np.split(activity, cuts)], counts_per_tier
 
     def chunks():
         # tier k of trial t fills column t, handed over as its active and
@@ -696,10 +706,11 @@ def estimate_coverage_system(
         # finite
         for first in range(0, sim.trials, _BLOCK_TRIALS):
             columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
-            drawn = [trial(t) for t in range(columns.start, columns.stop)]
+            rows = zip(*map(trial, range(first, columns.stop)))
+            drawn, shares[columns], activity_sums[columns], station_counts[columns] = rows
             for k in range(K):
                 parts = [d[k] for d in drawn]
-                counts = np.array([len(part[0]) for part in parts])
+                counts = station_counts[columns, k]
                 present = np.arange(counts.max())[:, None] < counts
                 r2, fade, active = (np.ones(present.shape, dtype=v.dtype) for v in parts[0])
                 for column, values in zip((r2, fade, active), zip(*parts)):
@@ -708,19 +719,15 @@ def estimate_coverage_system(
                 yield columns, k, False, r2, fade, present & ~active, 0
 
     run = _count_covered(network, sim.trials, chunks())
-    if len(fractions) > 1:
-        stacked = np.vstack(fractions)
-        frac_mean = stacked.mean(axis=0)
-        frac_err = stacked.std(axis=0, ddof=1) / math.sqrt(len(stacked))
-    else:
-        frac_mean = fractions[0] if fractions else np.zeros(K)
-        frac_err = np.zeros(K)
-    mean_activity = np.divide(
-        activity_sums,
-        activity_counts,
-        out=np.zeros(K),
-        where=activity_counts > 0,
-    )
+    # the trials with inner users, C-contiguous in trial order: mean and
+    # ddof=1 standard error as numpy's, 0 with one such trial or none
+    inner = shares[~np.isnan(shares[:, 0])]
+    n = max(len(inner), 1)
+    frac_mean = inner.sum(axis=0) / n
+    frac_err = np.sqrt(np.square(inner - frac_mean).sum(axis=0) / max(n - 1, 1)) / math.sqrt(n)
+    # summed trial after trial (a one-column sum would be pairwise); a tier
+    # without stations has a zero sum
+    mean_activity = activity_sums.cumsum(axis=0)[-1] / np.maximum(station_counts.sum(axis=0), 1)
     bound = _truncation_bound(network, mean_activity, radius, run[0])
     return SystemEstimate(
         **vars(_binomial_estimate(run, "conditional-thinning", radius, bound)),

@@ -167,6 +167,7 @@ def fig6_network(beta_db: float) -> hc.Network:
     )
 
 
+@pytest.mark.slow
 def test_c07_monte_carlo_agreement_two_tier():
     ok = True
     details = []
@@ -227,6 +228,7 @@ def test_c09_density_sweep_trends():
            f" (flat span={max(flat) - min(flat):.1e})")
 
 
+@pytest.mark.slow
 def test_c10_detailed_system_simulation():
     net = hc.Network(
         alpha=3.8,
@@ -256,6 +258,7 @@ def test_c10_detailed_system_simulation():
            f" (|diff| per point: {', '.join(details)})")
 
 
+@pytest.mark.slow
 def test_c11_closed_versus_open():
     rng = random.Random(31)
     ok = True
@@ -319,6 +322,7 @@ def test_c12_convergence_behaviour():
            f" (peak at m={peak + 1} of {len(magnitudes)}; counts={counts})")
 
 
+@pytest.mark.slow
 def test_c13_idle_only_variant():
     rng = random.Random(55)
     ok = True

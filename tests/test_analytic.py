@@ -96,6 +96,16 @@ class TestCorrectionTerm:
         with pytest.raises(ValueError):
             correction_term(single_tier(), 0)
 
+    def test_overflowing_term_raises_as_the_bounds_do(self):
+        # activity 0.001 at 3 dB: the terms pass the largest double well
+        # before index 400, where the trace reads inf
+        net = single_tier(target_sir=10.0**0.3, activity=0.001)
+        assert correction_trace(net, count=400)[-1].term == math.inf
+        with pytest.raises(SeriesConvergenceError, match="term 400 overflows"):
+            correction_term(net, 400)
+        with pytest.raises(SeriesConvergenceError):
+            coverage_bounds(net, 200)
+
 
 class TestClosedFormFirstTerms:
     def test_fully_loaded_gives_zeros(self):

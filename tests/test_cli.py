@@ -267,6 +267,28 @@ def test_windows_that_cannot_be_sampled_are_validation_errors(capsys, loaded_sce
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["compare"],
+        ["sweep", "--sweep-target", "tier[1].power", "--sweep-values", "1,2", "--engine", "mc"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_warnings_are_one_line_each_after_the_output(capsys, tmp_path, argv):
+    # a window of radius 1e-160 holds no station in any trial, so every
+    # estimate warns; compare and the sweep warn once per estimate
+    tier = {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.5}
+    scenario = write_scenario(tmp_path / "one.json", {"alpha": 4.0, "tiers": [tier]})
+    code = cli.main([*argv, "--scenario", scenario, "--radius", "1e-160", "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.out
+    assert captured.err == ("warning: 100 of 100 trials had no candidate station in the "
+                            "window; enlarge the window or densities\n")
+
+
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]
 
 

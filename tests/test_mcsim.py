@@ -4,6 +4,7 @@ the coverage-region raster."""
 
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestSamplePpp:
     def test_zero_density_is_empty(self):
         pts = hc.sample_ppp(0.0, 5.0, _trial_rng(0, 0))
         assert pts.shape == (0, 2)
+        # whatever the radius: 0 * inf points would be nan
+        assert hc.sample_ppp(0.0, 1e300, _trial_rng(0, 0)).shape == (0, 2)
+
+    def test_tiny_disc_at_huge_density_draws(self):
+        # 1e200 * pi * (1e-100)^2: about 3 expected points
+        pts = hc.sample_ppp(1e200, 1e-100, _trial_rng(0, 0))
+        assert pts.shape[1] == 2 and len(pts) < 20
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 1e-100)
 
     def test_count_matches_the_intensity(self):
         # lambda * pi * R^2 = 100; mean count over 10^4 draws within 100 +- 3
@@ -79,6 +88,15 @@ class TestSamplePpp:
             hc.sample_ppp(-1.0, 5.0, _trial_rng(0, 0))
         with pytest.raises(ValueError):
             hc.sample_ppp(1.0, 0.0, _trial_rng(0, 0))
+
+    @pytest.mark.parametrize(
+        "density, radius, expected",
+        [(1.0, 1e300, "inf"), (1e300, 1e300, "inf"), (1e10, 1.0, "3.14e+10")],
+        ids=["overflowing-area", "overflowing-both", "above-limit"],
+    )
+    def test_discs_it_cannot_draw_name_the_expected_count(self, density, radius, expected):
+        with pytest.raises(ValueError, match=re.escape(f"holds {expected} expected points")):
+            hc.sample_ppp(density, radius, _trial_rng(0, 0))
 
 
 class TestSampleHexGrid:
@@ -109,6 +127,15 @@ class TestSampleHexGrid:
     def test_domains(self):
         with pytest.raises(ValueError):
             hc.sample_hex_grid(0.0, 5.0, _trial_rng(0, 0))
+
+    @pytest.mark.parametrize(
+        "density, radius, expected",
+        [(1.0, 1e300, "inf"), (1e10, 1.0, "3.14e+10")],
+        ids=["overflowing-area", "above-limit"],
+    )
+    def test_discs_it_cannot_draw_name_the_expected_count(self, density, radius, expected):
+        with pytest.raises(ValueError, match=re.escape(f"holds {expected} expected points")):
+            hc.sample_hex_grid(density, radius, _trial_rng(0, 0))
 
 
 class TestRealization:
@@ -315,6 +342,43 @@ class TestEstimateCoverageSystem:
         with pytest.warns(UserWarning, match="no candidate"):
             loaded = hc.estimate_coverage_system(self.fig5(), 50.0, 2, sim)
         assert loaded.mean <= idle.mean
+
+    def test_user_fractions_without_users_are_zero(self):
+        sim = hc.SimConfig(trials=70, seed=40, window_radius=4.0)
+        est = hc.estimate_coverage_system(self.fig5(), 0.0, 20, sim)
+        assert est.tier_user_fraction == (0.0, 0.0)
+        assert est.tier_user_fraction_stderr == (0.0, 0.0)
+
+    def test_one_trial_gives_shares_without_spread(self):
+        sim = hc.SimConfig(trials=1, seed=41, window_radius=4.0)
+        est = hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim)
+        assert sum(est.tier_user_fraction) == pytest.approx(1.0, abs=1e-12)
+        assert est.tier_user_fraction_stderr == (0.0, 0.0)
+
+    def test_user_fractions_average_only_trials_with_inner_users(self):
+        # the inner disc of radius 0.3 holds 0.57 expected users, and the
+        # window 1.1 expected stations per tier: many trials have no inner
+        # user or no station, and drop out of the average
+        net, radius, users_per_area, trials, seed = self.fig5(), 0.6, 2.0, 70, 42
+        sim = hc.SimConfig(trials=trials, seed=seed, window_radius=radius)
+        with pytest.warns(UserWarning, match="no candidate"):
+            est = hc.estimate_coverage_system(net, users_per_area, 10, sim)
+        rank = np.array([t.power for t in net.tiers]) ** (2.0 / net.alpha)
+        rows = []
+        for t in range(trials):
+            rng = _trial_rng(seed, t)
+            positions, tier_idx, _, _ = mcsim._sample_field(net, radius, rng, "ppp")
+            users = hc.sample_ppp(users_per_area, radius, rng)
+            inner = users[users[:, 0] ** 2 + users[:, 1] ** 2 <= (radius / 2.0) ** 2]
+            if len(positions) and len(inner):
+                best = tier_idx[mcsim._serving_station(inner, positions, rank[tier_idx])]
+                rows.append(np.bincount(best, minlength=2) / len(inner))
+        assert 10 < len(rows) < trials - 10
+        assert sum(est.tier_user_fraction) == pytest.approx(1.0, abs=1e-12)
+        assert est.tier_user_fraction == pytest.approx(np.mean(rows, axis=0), abs=1e-12)
+        assert est.tier_user_fraction_stderr == pytest.approx(
+            np.std(rows, axis=0, ddof=1) / math.sqrt(len(rows)), abs=1e-12
+        )
 
     def test_default_window_sizes_off_the_raw_densities(self):
         # activities are an outcome of the simulation, so the window holds
