@@ -72,6 +72,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No flag starts with -<digit>, so -3:3:4 and -3,0,3 (negative dB
+        # sweeps) are values, where argparse takes only plain numbers.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
@@ -182,28 +188,6 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _network_with(network: Network, target: str, value: float) -> Network:
-    match = _TIER_TARGET.match(target)
-    if match:
-        index, field = int(match.group(1)), match.group(2)
-        if not 1 <= index <= network.num_tiers:
-            raise ModelValidationError(
-                f"sweep target {target!r} addresses tier {index} of a "
-                f"{network.num_tiers}-tier scenario"
-            )
-        indices = [index - 1]
-    elif target == "target_sir_db":
-        field, indices = target, range(network.num_tiers)
-    else:
-        raise ModelValidationError(f"unknown sweep target {target!r}")
-    if field == "target_sir_db":
-        field, value = "target_sir", _db_to_linear(value)
-    tiers = list(network.tiers)
-    for i in indices:
-        tiers[i] = replace(tiers[i], **{field: value})
-    return replace(network, tiers=tuple(tiers))
-
-
 def _cmd_coverage(network, args) -> tuple[str, int, str]:
     control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
     result = coverage(network, control)
@@ -290,18 +274,19 @@ def _sweep_series_index(network, values, control):
     return header, rows, [m for m, _, total, _ in rows if not math.isfinite(total)]
 
 
-def _sweep_points(network, target, values, args):
-    """Turn the grid into sweep points.
-
-    Returns the leading, analytic and Monte Carlo column names and, per grid
-    value, the leading cells, the networks the analytic engine evaluates and
-    the Monte Carlo estimates as (estimator, arguments before the
-    SimConfig).  An access fraction has two networks per point: its
-    closed-access and its open-access variant.
-    """
+def _sweep_grid(network, target, values, control, args):
+    """Every sweep target except series_index.  Each grid value gives its
+    leading cells and the networks the engines evaluate: one network, or
+    for an access fraction its closed-access and its open-access variant.
+    All analytic points of the sweep go through the series kernel in one
+    call, then the Monte Carlo engine runs once per network, or once per
+    user density in the system simulation.  Also returns the grid values
+    whose series did not converge."""
+    want_analytic = args.engine in ("analytic", "both")
+    want_mc = args.engine in ("mc", "both")
     analytic = ["analytic_value", "analytic_lower", "analytic_upper"]
     mc = ["mc_mean", "mc_stderr"]
-    points = []
+    rows, networks = [], []
     if target == "user_density":
         if args.resource_blocks is None:
             raise ModelValidationError(
@@ -311,10 +296,12 @@ def _sweep_points(network, target, values, args):
         lead += [f"activity_{j}" for j in range(1, network.num_tiers + 1)]
         for lu in values:
             activities = activity_from_user_density(network, lu, args.resource_blocks)
-            tiers = tuple(replace(t, activity=a) for t, a in zip(network.tiers, activities))
-            loaded = replace(network, tiers=tiers)
-            estimates = [(estimate_coverage_system, (network, lu, args.resource_blocks))]
-            points.append(([lu, *activities], [loaded], estimates))
+            rows.append([lu, *activities])
+            # the system simulation draws its own activities from the users,
+            # so only the analytic engine evaluates the loaded network
+            if want_analytic:
+                tiers = tuple(replace(t, activity=a) for t, a in zip(network.tiers, activities))
+                networks.append([replace(network, tiers=tiers)])
     elif target == "access_fraction":
         outside = [i for i in range(1, network.num_tiers + 1) if i not in network.access]
         if len(outside) != 1:
@@ -337,50 +324,56 @@ def _sweep_points(network, target, values, args):
                 closed_tier, density=closed_tier.density * f / (1.0 - f)
             )
             tiers = network.tiers + (open_tier,)
-            variants = [
+            rows.append([f])
+            networks.append([
                 Network(alpha=network.alpha, tiers=tiers, access=network.access | {len(tiers)}),
                 Network(alpha=network.alpha, tiers=tiers, access=None),
-            ]
-            points.append(([f], variants, [(estimate_coverage, (n,)) for n in variants]))
+            ])
     else:
+        match = _TIER_TARGET.match(target)
+        if match:
+            index, field = int(match.group(1)), match.group(2)
+            if not 1 <= index <= network.num_tiers:
+                raise ModelValidationError(
+                    f"sweep target {target!r} addresses tier {index} of a "
+                    f"{network.num_tiers}-tier scenario"
+                )
+            indices = [index - 1]
+        elif target == "target_sir_db":
+            field, indices = target, range(network.num_tiers)
+        else:
+            raise ModelValidationError(f"unknown sweep target {target!r}")
         lead = [re.sub(r"[^0-9A-Za-z_]+", "_", target).strip("_")]
+        in_db = field == "target_sir_db"
         for value in values:
-            point = _network_with(network, target, value)
-            points.append(([value], [point], [(estimate_coverage, (point,))]))
-    return lead, analytic, mc, points
-
-
-def _sweep_grid(network, target, values, control, args):
-    """Every sweep target except series_index: all analytic points of the
-    sweep go through the series kernel in one call, then the Monte Carlo
-    engine runs once per estimate.  Also returns the grid values whose
-    series did not converge."""
-    lead, analytic, mc, points = _sweep_points(network, target, values, args)
-    want_analytic = args.engine in ("analytic", "both")
-    want_mc = args.engine in ("mc", "both")
+            setting = {"target_sir": _db_to_linear(value)} if in_db else {field: value}
+            tiers = list(network.tiers)
+            for i in indices:
+                tiers[i] = replace(tiers[i], **setting)
+            rows.append([value])
+            networks.append([replace(network, tiers=tuple(tiers))])
     header = lead + (analytic if want_analytic else []) + (mc if want_mc else [])
+    unconverged = []
     if want_analytic:
-        networks = [n for _, variants, _ in points for n in variants]
-        results = iter(coverage_batch(networks, control))
-    if want_mc:
-        sim = _sim_config(args)
-    rows, unconverged = [], []
-    for cells, variants, estimates in points:
-        row = list(cells)
-        if want_analytic:
+        results = iter(coverage_batch([n for variants in networks for n in variants], control))
+        for row, variants in zip(rows, networks):
             found = [next(results) for _ in variants]
-            if len(found) == 2:
+            if target == "access_fraction":
                 closed, opened = found
                 row += [closed.value, opened.value, opened.value - closed.value]
             else:
                 row += [found[0].value, found[0].lower, found[0].upper]
             if not all(r.converged for r in found):
-                unconverged.append(cells[0])
-        if want_mc:
-            for estimator, inputs in estimates:
-                est = estimator(*inputs, sim)
-                row += [est.mean, est.stderr]
-        rows.append(tuple(row))
+                unconverged.append(row[0])
+    if want_mc:
+        sim = _sim_config(args)
+        if target == "user_density":
+            estimates = [[estimate_coverage_system(network, lu, args.resource_blocks, sim)]
+                         for lu in values]
+        else:
+            estimates = [[estimate_coverage(n, sim) for n in variants] for variants in networks]
+        for row, found in zip(rows, estimates):
+            row += [v for est in found for v in (est.mean, est.stderr)]
     return header, rows, unconverged
 
 

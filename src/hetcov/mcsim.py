@@ -201,7 +201,8 @@ def _truncation_bound(
     so its sample mean would follow the rare trials with a station next to
     the centre."""
     alpha = network.alpha
-    weight = sum(p * t.density * t.power for p, t in zip(activities, network.tiers))
+    # float: the system simulation passes its activities as numpy values
+    weight = float(sum(p * t.density * t.power for p, t in zip(activities, network.tiers)))
     try:
         outside = weight * (2.0 * math.pi * radius ** (2.0 - alpha) / (alpha - 2.0))
     except OverflowError:
@@ -307,8 +308,10 @@ def _hex_sites(
     """Unrotated hexagonal lattice of the given density, translated by shift,
     an (..., 2) array of primitive-cell coordinates in [0, 1).
 
-    Returns x and y of shape (..., sites) over an index range that covers the
-    disc; clipping to the disc is the caller's.
+    Returns x and y of shape (..., sites) over the index pairs whose
+    unshifted site lies within radius + 2 spacings of the origin: a shift
+    moves a site by less than sqrt(3) spacings, so no other site can enter
+    the disc.  Clipping to the disc is the caller's.
     """
     if not density > 0.0:
         raise ValueError(f"density must be positive, got {density}")
@@ -324,6 +327,8 @@ def _hex_sites(
         np.arange(-j_max, j_max + 1), np.arange(-k_max, k_max + 1), indexing="ij"
     )
     j, k = j.ravel(), k.ravel()
+    near = np.hypot((j + 0.5 * k) * spacing, k * row_height) <= radius + 2.0 * spacing
+    j, k = j[near], k[near]
     u1, u2 = shift[..., :1], shift[..., 1:]
     x = (j + u1 + 0.5 * (k + u2)) * spacing
     y = (k + u2) * row_height
@@ -558,9 +563,9 @@ def _estimate_loads(
     """estimate_coverage for each of several loads from one draw; each
     Estimate equals the one estimate_coverage gives on its load alone,
     since no stream's key or content depends on the loads requested."""
-    radius = sim.window_radius or default_window_radius(
+    radius = float(sim.window_radius or default_window_radius(
         network, sim.min_expected_points
-    )
+    ))
     _check_window(radius, [t.density for t in network.tiers])
     with_idle = any(load != "fully-loaded" for load in loads)
 
@@ -664,9 +669,9 @@ def estimate_coverage_system(
         raise ValueError(f"user_density must be non-negative, got {user_density}")
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
-    radius = sim.window_radius or _disc_radius(
+    radius = float(sim.window_radius or _disc_radius(
         [t.density for t in network.tiers], sim.min_expected_points
-    )
+    ))
     _check_window(radius, [user_density] + [t.density for t in network.tiers])
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)

@@ -7,11 +7,22 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from hetcov import Estimate, Network, Tier, cli, coverage
+from hetcov import (
+    Estimate,
+    Network,
+    SimConfig,
+    Tier,
+    cli,
+    coverage,
+    estimate_coverage,
+    estimate_coverage_system,
+    network_from_dict,
+)
 
 
 def write_scenario(path, doc) -> str:
@@ -220,6 +231,10 @@ def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
         ["--sweep-target", "user_density", "--sweep-values", "nan", "--resource-blocks", "10",
          "--engine", "mc"],
         ["--sweep-target", "user_density", "--sweep-values", "1e400", "--resource-blocks", "10"],
+        # no tier transmits at 0 users: the series has no interference field
+        ["--sweep-target", "user_density", "--sweep-values", "0,2", "--resource-blocks", "5"],
+        ["--sweep-target", "user_density", "--sweep-values", "0,2", "--resource-blocks", "5",
+         "--engine", "both"],
         ["--sweep-target", "series_index", "--sweep-values", "nan"],
         ["--sweep-target", "series_index", "--sweep-values", "2,inf"],
         # a trace is capped by the series term cap like the series itself
@@ -335,6 +350,7 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, loaded_scenario, a
         ["simulate", "--seed", "-1"],
         ["simulate", "--radius", "0"],
         ["simulate", "--radius", "-2.5"],
+        ["simulate", "--radius", "-1e3"],
         ["simulate", "--min-points", "0"],
         ["simulate", "--load", "system", "--user-density", "-1", "--resource-blocks", "5"],
         ["simulate", "--load", "system", "--user-density", "1", "--resource-blocks", "0"],
@@ -591,6 +607,70 @@ class TestSweepCommand:
         for row in rows:
             analytic, mc = float(row[1]), float(row[4])
             assert abs(analytic - mc) < 0.1
+
+    @staticmethod
+    def library_estimates(network, target, value, sim):
+        """The estimates behind one sweep row's mc_* cells, built without the CLI."""
+        if target == "user_density":
+            return [estimate_coverage_system(network, value, 10, sim)]
+        if target == "access_fraction":
+            closed = network.tiers[1]
+            tiers = (*network.tiers, replace(closed, density=closed.density * value / (1 - value)))
+            return [estimate_coverage(Network(alpha=network.alpha, tiers=tiers, access=access), sim)
+                    for access in ([1, 3], None)]
+        if target == "target_sir_db":
+            tiers = [replace(t, target_sir=10.0 ** (value / 10.0)) for t in network.tiers]
+        else:
+            tiers = [network.tiers[0], replace(network.tiers[1], power=value)]
+        return [estimate_coverage(replace(network, tiers=tuple(tiers)), sim)]
+
+    @pytest.mark.parametrize(
+        "scenario, target, values, engine",
+        [
+            ("loaded_scenario", "tier[2].power", "0.1,1", "mc"),
+            ("loaded_scenario", "target_sir_db", "-1,4", "both"),
+            ("split_scenario", "access_fraction", "0,0.5", "both"),
+            ("loaded_scenario", "user_density", "5,20", "both"),
+            # no tier transmits at 0 users, so only the system simulation answers
+            ("loaded_scenario", "user_density", "0,5", "mc"),
+        ],
+        ids=lambda v: v.removesuffix("_scenario"),
+    )
+    def test_mc_cells_are_the_library_estimates(
+        self, request, capsys, scenario, target, values, engine
+    ):
+        path = request.getfixturevalue(scenario)
+        code, _, header, rows = run_csv(
+            capsys,
+            ["sweep", "--scenario", path, "--sweep-target", target, f"--sweep-values={values}",
+             "--engine", engine, "--trials", "60", "--seed", "2", "--radius", "4",
+             "--resource-blocks", "10"],
+        )
+        assert code == cli.EXIT_OK
+        network = network_from_dict(json.loads(Path(path).read_text()))
+        sim = SimConfig(trials=60, seed=2, window_radius=4.0)
+        mc = [i for i, name in enumerate(header) if name.startswith("mc_")]
+        assert len(rows) == 2
+        for value, row in zip(map(float, values.split(",")), rows):
+            found = self.library_estimates(network, target, value, sim)
+            assert [row[i] for i in mc] == [repr(v) for e in found for v in (e.mean, e.stderr)]
+
+    @pytest.mark.parametrize(
+        "spelling, same_as",
+        [
+            (["--sweep-values", "-3:3:4"], "-3,-1,1,3"),
+            (["--sweep-values", "-3,-1,1,3"], "-3,-1,1,3"),
+            (["--sweep-values=-3:3:4"], "-3,-1,1,3"),
+            (["--sweep-values", "-.5,1"], "-0.5,1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_negative_sweep_values_parse(self, capsys, loaded_scenario, spelling, same_as):
+        argv = ["sweep", "--scenario", loaded_scenario, "--sweep-target", "target_sir_db"]
+        assert cli.main([*argv, *spelling]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert cli.main([*argv, f"--sweep-values={same_as}"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == out
 
     def test_access_fraction_gap_shrinks(self, capsys, split_scenario):
         code, _, header, rows = run_csv(

@@ -5,6 +5,7 @@ the coverage-region raster."""
 import io
 import math
 import re
+import typing
 import warnings
 
 import numpy as np
@@ -127,6 +128,23 @@ class TestSampleHexGrid:
     def test_domains(self):
         with pytest.raises(ValueError):
             hc.sample_hex_grid(0.0, 5.0, _trial_rng(0, 0))
+
+    def test_index_range_keeps_every_site_of_the_disc_in_order(self):
+        density, radius = 0.7, 6.0
+        spacing = math.sqrt(2.0 / (math.sqrt(3.0) * density))
+        shift = _trial_rng(7, 0).random((300, 2))
+        x, y = mcsim._hex_sites(density, radius, shift)
+        # only the pairs within radius + 2 spacings of the origin remain
+        assert x.shape[-1] < density * math.pi * (radius + 2.5 * spacing) ** 2
+        j, k = (a.ravel() for a in np.meshgrid(np.arange(-20, 21), np.arange(-20, 21),
+                                               indexing="ij"))
+        wide_x = (j + shift[:, :1] + 0.5 * (k + shift[:, 1:])) * spacing
+        wide_y = (k + shift[:, 1:]) * (spacing * math.sqrt(3.0) / 2.0)
+        for t in range(len(shift)):
+            inside = x[t] ** 2 + y[t] ** 2 <= radius**2
+            wide = wide_x[t] ** 2 + wide_y[t] ** 2 <= radius**2
+            np.testing.assert_array_equal(x[t][inside], wide_x[t][wide])
+            np.testing.assert_array_equal(y[t][inside], wide_y[t][wide])
 
     @pytest.mark.parametrize(
         "density, radius, expected",
@@ -668,6 +686,21 @@ class TestBlockEngine:
         assert idle.truncated_interference_bound == 0.0  # nothing transmits
         loaded = hc.estimate_coverage_system(fig5, 8.0, 10, sim)
         assert 0.0 < loaded.truncated_interference_bound < math.inf
+
+    def test_every_float_field_is_a_python_float(self):
+        # an int window radius and the system simulation's numpy activities
+        # stay out of the reported types
+        sim = hc.SimConfig(trials=20, seed=48, window_radius=4)
+        for est in (
+            hc.estimate_coverage(two_tier(), sim),
+            hc.estimate_coverage_system(TestEstimateCoverageSystem().fig5(), 8.0, 10, sim),
+        ):
+            for name, hint in typing.get_type_hints(type(est)).items():
+                value = getattr(est, name)
+                if hint is float:
+                    assert type(value) is float, name
+                elif hint == tuple[float, ...]:
+                    assert value and all(type(v) is float for v in value), name
 
 
 CUTOFF_NETS = {
