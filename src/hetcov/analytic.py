@@ -186,9 +186,7 @@ def _series_terms(
         log_gamma = gammaln(1.0 + delta * np.arange(start, stop + 1.0))
         log_env = m * log_ratio - log_gamma[:, :-1]
         hyper = _hyper_rows(row_delta, row_beta, m)
-        tail = np.zeros(log_env.shape)
-        for k in range(width):
-            tail += weight[:, k, None] * hyper[row_of[:, k]]
+        tail = (weight[:, :, None] * hyper[row_of]).sum(axis=1)
         kappa = np.exp(log_pi_gamma + log_gamma[:, :-1] - log_gamma[:, 1:])
         sign = np.where(m % 2.0 == 1.0, -1.0, 1.0)
         with np.errstate(over="ignore"):

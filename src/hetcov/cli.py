@@ -48,7 +48,6 @@ from .mcsim import (
     realization_to_csv,
 )
 from .model import (
-    AssumptionWarning,
     ModelValidationError,
     Network,
     SeriesControl,
@@ -508,9 +507,8 @@ def main(argv=None) -> int:
     """Run one command: the only place that reads the scenario, writes the
     report and turns errors into exit codes.  A command returns (text, exit
     code, note); a non-empty note goes to stderr once the text is written.
-    Assumption warnings are silenced because the reports list them
-    (validation_warnings); every other warning goes to stderr after the
-    text as one "warning: <message>" line, each distinct message once."""
+    Every warning, assumption flags included, goes to stderr after the text
+    as one "warning: <message>" line, each distinct message once."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -519,7 +517,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         network = _load_network(args.scenario)
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("ignore", AssumptionWarning)
             text, code, note = args.func(network, args)
         _emit(text, args.out)
         for message in dict.fromkeys(str(w.message) for w in caught):

@@ -252,15 +252,34 @@ def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
     )
 
 
-def _check_window(radius: float, densities) -> None:
-    """Reject, before anything is drawn, a window that holds no point (its
-    area underflows) or more than _MAX_WINDOW_POINTS expected points per
-    trial; radius * radius cannot raise where radius**2 can."""
-    expected = math.pi * (radius * radius) * sum(densities)
-    if not 0.0 < expected <= _MAX_WINDOW_POINTS:
+def _window_points(radius: float, densities, may_be_empty: bool = False) -> float:
+    """Expected points pi R^2 sum(densities) of a disc, checked before
+    anything is drawn: the one rule for every disc this module samples.  A
+    disc needs a positive radius, non-negative densities, at most
+    _MAX_WINDOW_POINTS expected points and, unless may_be_empty, some (a
+    window whose area underflows holds none).  Total density 0 holds none
+    whatever the radius (0 * inf is nan); radius * radius cannot raise
+    where radius**2 can."""
+    if not (radius > 0.0 and all(d >= 0.0 for d in densities)):
         raise ModelValidationError(
-            f"a window of radius {radius:.6g} holds {expected:.3g} expected points per "
-            f"trial, outside (0, {_MAX_WINDOW_POINTS:g}]")
+            f"a disc needs a positive radius and non-negative densities, "
+            f"got radius {radius} and densities {list(densities)}")
+    total = sum(densities)
+    expected = total * math.pi * (radius * radius) if total > 0.0 else 0.0
+    if not (expected > 0.0 or may_be_empty) or not expected <= _MAX_WINDOW_POINTS:
+        raise ModelValidationError(
+            f"a disc of radius {radius:.6g} holds {expected:.3g} expected points, "
+            f"outside {'[' if may_be_empty else '('}0, {_MAX_WINDOW_POINTS:g}]")
+    return expected
+
+
+def _run_radius(sim: SimConfig, sizing, densities) -> float:
+    """A run's window radius: sim.window_radius, or the disc placing
+    max(500, sim.min_expected_points) expected points of the sparsest
+    positive sizing density; checked for the densities drawn on it."""
+    radius = float(sim.window_radius or _disc_radius(sizing, sim.min_expected_points))
+    _window_points(radius, densities)
+    return radius
 
 
 def _disc_radius(densities, min_points: int) -> float:
@@ -278,25 +297,9 @@ def default_window_radius(network: Network, min_expected_points: int = 500) -> f
     )
 
 
-def _expected_points(density: float, radius: float) -> float:
-    """Expected points of the given density on the disc (none at density 0,
-    whatever the radius); raises ValueError when that is not finite or
-    exceeds _MAX_WINDOW_POINTS."""
-    if density < 0.0:
-        raise ValueError(f"density must be non-negative, got {density}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    expected = density * math.pi * (radius * radius) if density > 0.0 else 0.0
-    if not expected <= _MAX_WINDOW_POINTS:
-        raise ValueError(
-            f"a disc of radius {radius:.6g} at density {density:.6g} holds {expected:.3g} "
-            f"expected points, more than {_MAX_WINDOW_POINTS:g}")
-    return expected
-
-
 def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson field on the disc: Poisson count, uniform points."""
-    n = rng.poisson(_expected_points(density, radius))
+    n = rng.poisson(_window_points(radius, [density], may_be_empty=True))
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
@@ -313,10 +316,6 @@ def _hex_sites(
     moves a site by less than sqrt(3) spacings, so no other site can enter
     the disc.  Clipping to the disc is the caller's.
     """
-    if not density > 0.0:
-        raise ValueError(f"density must be positive, got {density}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
     spacing = math.sqrt(2.0 / (math.sqrt(3.0) * density))
     # Primitive cell a1 = (s, 0), a2 = (s/2, s*sqrt(3)/2); index ranges must
     # cover the disc before any rotation, which preserves radii.
@@ -344,7 +343,9 @@ def sample_hex_grid(
     cell and a uniformly random rotation, so the typical point at the origin
     sees translation-invariant statistics across draws.
     """
-    _expected_points(density, radius)
+    _window_points(radius, [density], may_be_empty=True)
+    if density == 0.0:
+        raise ModelValidationError("a lattice needs a positive density, got 0")
     x, y = _hex_sites(density, radius, rng.random(2))
     angle = 2.0 * math.pi * rng.random()
     keep = x * x + y * y <= radius * radius
@@ -387,7 +388,7 @@ def draw_realization(
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    _check_window(radius, [t.density for t in network.tiers])
+    _window_points(radius, [t.density for t in network.tiers])
     positions, tier, fading, uniforms = _sample_field(network, radius, rng, placement)
     activity = np.array([t.activity for t in network.tiers])
     power = np.array([t.power for t in network.tiers])
@@ -563,10 +564,8 @@ def _estimate_loads(
     """estimate_coverage for each of several loads from one draw; each
     Estimate equals the one estimate_coverage gives on its load alone,
     since no stream's key or content depends on the loads requested."""
-    radius = float(sim.window_radius or default_window_radius(
-        network, sim.min_expected_points
-    ))
-    _check_window(radius, [t.density for t in network.tiers])
+    densities = [t.density for t in network.tiers]
+    radius = _run_radius(sim, [t.activity * t.density for t in network.tiers], densities)
     with_idle = any(load != "fully-loaded" for load in loads)
 
     def chunks():
@@ -665,14 +664,10 @@ def estimate_coverage_system(
     returns its load diagnostics, kept as one row per trial and reduced
     once after the run, in trial order.
     """
-    if user_density < 0.0:
-        raise ValueError(f"user_density must be non-negative, got {user_density}")
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
-    radius = float(sim.window_radius or _disc_radius(
-        [t.density for t in network.tiers], sim.min_expected_points
-    ))
-    _check_window(radius, [user_density] + [t.density for t in network.tiers])
+    densities = [t.density for t in network.tiers]
+    radius = _run_radius(sim, densities, [user_density, *densities])
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
     inner_sq = (radius / 2.0) ** 2

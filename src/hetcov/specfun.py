@@ -1,7 +1,12 @@
-"""Scalar special-function kernels behind the coverage formulas.
+"""Scalar special functions: the interference constant of the coverage
+formulas, and pure-Python references.
 
-Everything here is a pure function of its arguments, so the kernels can be
-called concurrently from any number of threads.
+The correction series takes its 2F1 factors and log-gamma values from
+scipy's hyp2f1 and gammaln; gauss_2f1, log_gamma and SeriesTolerance are
+reference implementations that the tests compare against (gauss_2f1 also
+serves the per-term hypergeometric_sum).  Everything here is a pure
+function of its arguments, so it can be called concurrently from any
+number of threads.
 """
 
 from __future__ import annotations

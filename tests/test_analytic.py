@@ -309,6 +309,15 @@ class TestCorrectionTrace:
         with pytest.raises(ValueError):
             correction_trace(single_tier(), count=0)
 
+    def test_fully_loaded_access_tiers_trace_no_term(self):
+        # no access tier has an idle station, so A/eta is 0 and every term
+        # vanishes; the other tier's idle stations cannot serve the user
+        net = Network(
+            alpha=4.0, tiers=(Tier(1.0, 1.0, 2.0, 1.0), Tier(0.1, 2.0, 2.0, 0.5)), access=[1]
+        )
+        assert derived_constants(net).a_over_eta == 0.0
+        assert correction_trace(net) == []
+
     def test_partial_sums_are_fsums_of_the_prefixes(self):
         rng = random.Random(47)
         for _ in range(60):

@@ -242,11 +242,24 @@ def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
         # a trace follows the analytic series, which no other engine has
         ["--sweep-target", "series_index", "--sweep-values", "1,2", "--engine", "mc"],
         ["--sweep-target", "series_index", "--sweep-values", "1,2", "--engine", "both"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:0"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "0:2:3:log"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1,x"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", ","],
+        ["--sweep-target", "series_index", "--sweep-values", "0"],
+        ["--sweep-target", "tier[9].density", "--sweep-values", "1"],
+        # the one closed tier of the split scenario has no open part at f = 1
+        ["--sweep-target", "access_fraction", "--sweep-values", "1.0",
+         "--scenario", "split_scenario"],
     ],
     ids=" ".join,
 )
-def test_bad_sweep_values_are_validation_errors(capsys, loaded_scenario, argv):
-    code = cli.main(["sweep", "--scenario", loaded_scenario, *argv])
+def test_bad_sweep_values_are_validation_errors(capsys, request, argv):
+    # a row may name its own scenario fixture; the last --scenario wins
+    argv = ["--scenario", "loaded_scenario", *argv]
+    argv = [request.getfixturevalue(a) if a.endswith("_scenario") else a for a in argv]
+    code = cli.main(["sweep", *argv])
     captured = capsys.readouterr()
     assert code == cli.EXIT_VALIDATION
     assert captured.out == ""
@@ -302,6 +315,18 @@ def test_warnings_are_one_line_each_after_the_output(capsys, tmp_path, argv):
     assert captured.out
     assert captured.err == ("warning: 100 of 100 trials had no candidate station in the "
                             "window; enlarge the window or densities\n")
+
+
+@pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
+def test_sweeps_at_or_below_0_db_flag_the_assumption(capsys, loaded_scenario):
+    # the sweep CSV has no column for flags, so stderr carries them
+    code = cli.main(["sweep", "--scenario", loaded_scenario, "--sweep-target", "target_sir_db",
+                     "--sweep-values=-6"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.out.splitlines()[-1].startswith("-6.0,1.186")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: tier 1: target SIR 0.251189 is at or below 0 dB")
 
 
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]

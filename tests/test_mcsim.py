@@ -90,6 +90,11 @@ class TestSamplePpp:
         with pytest.raises(ValueError):
             hc.sample_ppp(1.0, 0.0, _trial_rng(0, 0))
 
+    def test_nan_density_is_rejected(self):
+        # nan < 0 is false, so a sign test alone would draw an empty field
+        with pytest.raises(ValueError, match="non-negative densities"):
+            hc.sample_ppp(float("nan"), 5.0, _trial_rng(0, 0))
+
     @pytest.mark.parametrize(
         "density, radius, expected",
         [(1.0, 1e300, "inf"), (1e300, 1e300, "inf"), (1e10, 1.0, "3.14e+10")],
