@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
 
 from .model import (
     AssumptionWarning,
@@ -135,6 +134,12 @@ def _network_series(network: Network) -> _Series:
 def _hyper_rows(delta: np.ndarray, beta: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(1 + beta)^(-delta m) 2F1(1, delta m; 1 + (m+1) delta; 1/(1 + beta))
     for every row (delta, beta) and every index in m."""
+    # Here, in _series_terms and in correction_trace, scipy.special is
+    # imported on the first call, not with the package: it takes most of
+    # the package's import time, and a thinning simulation never evaluates
+    # a series
+    from scipy.special import hyp2f1
+
     delta, beta = delta[:, None], beta[:, None]
     b = delta * m
     return (1.0 + beta) ** -b * hyp2f1(1.0, b, 1.0 + (m + 1.0) * delta, 1.0 / (1.0 + beta))
@@ -157,6 +162,8 @@ def _series_terms(
     epsilon.  With count every series yields exactly count terms: no term
     is below a zero tolerance and no envelope exceeds an infinite limit.
     """
+    from scipy.special import gammaln
+
     cap, epsilon, limit = control.max_terms, control.epsilon, _LOG_TERM_LIMIT
     if count is not None:
         cap, epsilon, limit = count, 0.0, math.inf
@@ -273,11 +280,15 @@ def correction_trace(
 
     With count given, exactly that many terms are emitted regardless of the
     stopping rule; otherwise the trace ends where the rule fires.  Terms
-    whose envelope overflows are inf, and so is their majorant.
+    whose envelope overflows are inf, and so is their majorant.  Targets at
+    or below 0 dB warn, as in coverage().
     """
+    from scipy.special import gammaln
+
     control = control or _DEFAULT_CONTROL
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _warn_low_targets(network)
     series = _network_series(network)
     if count is None and series.ratio == 0.0:
         return []

@@ -174,6 +174,10 @@ class TestCoverage:
         with pytest.warns(AssumptionWarning):
             coverage(single_tier(target_sir=1.0))
 
+    def test_low_target_trace_warns(self):
+        with pytest.warns(AssumptionWarning):
+            correction_trace(single_tier(target_sir=1.0), count=2)
+
     def test_high_target_does_not_warn(self):
         import warnings as _warnings
 

@@ -329,6 +329,20 @@ def test_sweeps_at_or_below_0_db_flag_the_assumption(capsys, loaded_scenario):
     assert captured.err.startswith("warning: tier 1: target SIR 0.251189 is at or below 0 dB")
 
 
+@pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
+@pytest.mark.parametrize("target", ["series_index", "tier[1].power"])
+def test_every_sweep_target_flags_a_target_at_or_below_0_db(capsys, tmp_path, target):
+    tier = {"power": 1.0, "density": 1.0, "target_sir_db": -3.0, "activity": 0.5}
+    scenario = write_scenario(tmp_path / "low.json", {"alpha": 4.0, "tiers": [tier]})
+    code = cli.main(["sweep", "--scenario", scenario, "--sweep-target", target,
+                     "--sweep-values", "1,2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.out.count("\n") == 8  # five metadata lines, the header, two rows
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: tier 1: target SIR 0.501187 is at or below 0 dB")
+
+
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]
 
 
@@ -882,6 +896,8 @@ class TestRasterCommand:
 
 
 class TestParserReuse:
+    # a fresh process shows the assumption flag of the 0 dB series trace
+    @pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
     def test_commands_in_one_process_match_fresh_processes(
         self, capsys, tmp_path, loaded_scenario, full_load_scenario
     ):
@@ -934,3 +950,30 @@ def test_analytic_commands_never_import_the_association(loaded_scenario):
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert run.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False"
+
+
+def test_thinning_simulations_never_import_scipy(loaded_scenario):
+    # scipy serves only the series and the association, so importing the
+    # package and simulating a thinning load, or sweeping one by Monte
+    # Carlo, leaves every scipy module unimported
+    runs = [["simulate", "--load", load, "--placement", placement]
+            for load in ("conditional-thinning", "fully-loaded", "idle-only")
+            for placement in ("ppp", "hex-first-tier")]
+    runs.append(["sweep", "--sweep-target", "tier[2].density", "--sweep-values", "1,2",
+                 "--engine", "mc"])
+    argvs = [[*argv, "--scenario", loaded_scenario, "--trials", "20", "--radius", "3"]
+             for argv in runs]
+    script = (
+        "import contextlib, io, sys\n"
+        "import hetcov\n"
+        "from hetcov import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == f"{[cli.EXIT_OK] * len(argvs)} []"

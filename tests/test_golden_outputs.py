@@ -62,6 +62,12 @@ COMMANDS = {
     "simulate-default-window": ("two", ["simulate", "--trials", "65", "--seed", "1"]),
     "simulate-system": ("two", ["simulate", "--trials", "3", "--seed", "2", "--load", "system",
                                 "--user-density", "5", "--resource-blocks", "10"]),
+    # at radius 6 the association searches the ~113 first-tier stations by
+    # cdist, and the ~226 second-tier ones by cdist or k-d tree as the
+    # trial's user and station counts fall
+    "simulate-system-window": ("two", ["simulate", "--trials", "65", "--seed", "5",
+                                       "--radius", "6", "--load", "system",
+                                       "--user-density", "5", "--resource-blocks", "10"]),
     "compare": ("closed", ["compare", *MC]),
     "sweep-tier": ("two", ["sweep", "--sweep-target", "tier[2].density",
                            "--sweep-values", "0.5:2:3:log", "--engine", "both", *MC]),
@@ -88,6 +94,7 @@ GOLDEN = {
     "simulate-hex-io": "e8a4f3c8ca7697af77d8b098f190cff6a7c4bc810dcc1277384eeef9e8fd21d2",
     "simulate-default-window": "aed99902df012985ad18fc4c76d3441a8de307edd0b9d0aa2588064e675782f8",
     "simulate-system": "3b96ca8e15b1b9052fa10123eaa9ff1527591f878eccd578f49692b4d588c4a3",
+    "simulate-system-window": "cf98aca2b597444020524cc6d11706662dd10abc65d24b403663239f92ffaba0",
     "compare": "13d4558d48ff82db38b953aa3a2635ebaec5a562f6935263bcb1ece1cfd14815",
     "sweep-tier": "79be022938fc7edd4db573e910fc9c818669eadf1b9b640a98ed65ce7b38b4ad",
     "sweep-target": "d449dc0ae2fbc5ffe4f58dbf13f7925d2b4cdcb2bafc80ddb36d5e5ba7614cf1",
