@@ -83,18 +83,6 @@ _UINT64_MASK = (1 << 64) - 1
 # trial's window, or one call of a public sampler, may hold: ~4 GB where
 # each station's position is stored.
 _MAX_WINDOW_POINTS = 1e8
-# Each of P points finds its nearest station in a rank group of S stations
-# from cdist's P x S distance matrix while (S - _CDIST_STATIONS) * P <=
-# _CDIST_TREE_PAIRS, else from a k-d tree: a tree query costs about as much
-# per point as 100 cdist distances, and building the tree about as much as
-# 70,000.  Measured break-even group sizes on a 2-core host: ~200 stations
-# at 680 points, ~130 at 3,000, ~125 at 10,000 and ~90 at 40,000; at 680
-# points the tree took 1.8, 1.4 and 1.1 times the time of cdist at 75, 125
-# and 175 stations.
-_CDIST_STATIONS = 100
-_CDIST_TREE_PAIRS = 70_000
-# Points per cdist call, so a distance matrix holds at most ~2.2 MB.
-_CDIST_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -754,27 +742,15 @@ def _serving_station(points, positions, rank) -> np.ndarray:
 
     rank is power^(2/alpha), so rank / d^2 orders stations as P d^(-alpha)
     does.  Within one rank the nearest station is the strongest, so each
-    distinct rank takes one nearest-station search; ties go to the lower rank.
-    The search takes one of two exact routes, which give the same station
-    and the same distance: the row minimum of cdist's squared distances for
-    a small group, else a k-d tree query (see _CDIST_STATIONS).
+    distinct rank takes one nearest-station query; ties go to the lower rank.
     """
-    from scipy.spatial import cKDTree  # loaded with the first association
-    from scipy.spatial.distance import cdist
+    from scipy.spatial import cKDTree  # only the association needs scipy
 
     best = np.full(len(points), -1, dtype=np.int64)
     best_score = np.full(len(points), -np.inf)
     for weight in np.unique(rank):
         members = np.flatnonzero(rank == weight)
-        if (len(members) - _CDIST_STATIONS) * len(points) > _CDIST_TREE_PAIRS:
-            d, nearest = cKDTree(positions[members]).query(points)
-        else:
-            d, nearest = np.empty(len(points)), np.empty(len(points), dtype=np.intp)
-            for first in range(0, len(points), _CDIST_POINTS):
-                block = slice(first, first + _CDIST_POINTS)
-                squared = cdist(points[block], positions[members], "sqeuclidean")
-                nearest[block] = squared.argmin(axis=1)
-                d[block] = np.sqrt(squared.min(axis=1))
+        d, nearest = cKDTree(positions[members]).query(points)
         with np.errstate(divide="ignore"):
             score = weight / d**2
         better = score > best_score

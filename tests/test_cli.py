@@ -318,29 +318,24 @@ def test_warnings_are_one_line_each_after_the_output(capsys, tmp_path, argv):
 
 
 @pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
-def test_sweeps_at_or_below_0_db_flag_the_assumption(capsys, loaded_scenario):
+@pytest.mark.parametrize(
+    "scenario, sweep, row, target",
+    [
+        ("loaded_scenario", ["target_sir_db", "--sweep-values=-6"], "-6.0,1.186", "0.251189"),
+        ("full_load_scenario", ["series_index", "--sweep-values=1,2"], "2,0.0", "1"),
+    ],
+    ids=["target_sir_db", "series_index"],
+)
+def test_sweeps_at_or_below_0_db_flag_the_assumption(capsys, request, scenario, sweep, row,
+                                                     target):
     # the sweep CSV has no column for flags, so stderr carries them
-    code = cli.main(["sweep", "--scenario", loaded_scenario, "--sweep-target", "target_sir_db",
-                     "--sweep-values=-6"])
+    code = cli.main(["sweep", "--scenario", request.getfixturevalue(scenario),
+                     "--sweep-target", *sweep])
     captured = capsys.readouterr()
     assert code == cli.EXIT_OK
-    assert captured.out.splitlines()[-1].startswith("-6.0,1.186")
+    assert captured.out.splitlines()[-1].startswith(row)
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("warning: tier 1: target SIR 0.251189 is at or below 0 dB")
-
-
-@pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
-@pytest.mark.parametrize("target", ["series_index", "tier[1].power"])
-def test_every_sweep_target_flags_a_target_at_or_below_0_db(capsys, tmp_path, target):
-    tier = {"power": 1.0, "density": 1.0, "target_sir_db": -3.0, "activity": 0.5}
-    scenario = write_scenario(tmp_path / "low.json", {"alpha": 4.0, "tiers": [tier]})
-    code = cli.main(["sweep", "--scenario", scenario, "--sweep-target", target,
-                     "--sweep-values", "1,2"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_OK
-    assert captured.out.count("\n") == 8  # five metadata lines, the header, two rows
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("warning: tier 1: target SIR 0.501187 is at or below 0 dB")
+    assert captured.err.startswith(f"warning: tier 1: target SIR {target} is at or below 0 dB")
 
 
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]

@@ -62,9 +62,8 @@ COMMANDS = {
     "simulate-default-window": ("two", ["simulate", "--trials", "65", "--seed", "1"]),
     "simulate-system": ("two", ["simulate", "--trials", "3", "--seed", "2", "--load", "system",
                                 "--user-density", "5", "--resource-blocks", "10"]),
-    # at radius 6 the association searches the ~113 first-tier stations by
-    # cdist, and the ~226 second-tier ones by cdist or k-d tree as the
-    # trial's user and station counts fall
+    # a system run in a radius-6 window, where each tier's rank group
+    # holds about 113 and 226 stations
     "simulate-system-window": ("two", ["simulate", "--trials", "65", "--seed", "5",
                                        "--radius", "6", "--load", "system",
                                        "--user-density", "5", "--resource-blocks", "10"]),

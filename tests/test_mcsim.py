@@ -873,32 +873,6 @@ class TestServingStation:
                 got, brute_force_serving(points, positions, rank)
             )
 
-    def test_the_cdist_and_tree_routes_choose_alike(self, monkeypatch):
-        # rank groups of 1 to 450 stations at 310 points (cdist takes up to
-        # 325), shared ranks, a tier without stations, points on a station
-        # and up to three tiers; each route is forced in turn, cdist also
-        # in blocks of 37 points
-        rng = np.random.default_rng(16)
-        for case in range(40):
-            K = int(rng.integers(1, 4))
-            counts = rng.integers(1, 451, size=K)
-            if K > 1 and case % 4 == 0:
-                counts[rng.integers(K)] = 0
-            powers = rng.choice([0.01, 0.1, 1.0], size=K)
-            rank = np.repeat(powers, counts) ** (2.0 / rng.uniform(2.5, 5.0))
-            positions = rng.uniform(-6.0, 6.0, size=(len(rank), 2))
-            on_station = positions[rng.integers(len(rank), size=10)]
-            points = np.vstack((rng.uniform(-7.0, 7.0, size=(300, 2)), on_station))
-            chosen = [mcsim._serving_station(points, positions, rank)]
-            for stations, pairs, block in ((0, -1, 2048), (len(rank), 0, 37)):
-                monkeypatch.setattr(mcsim, "_CDIST_STATIONS", stations)
-                monkeypatch.setattr(mcsim, "_CDIST_TREE_PAIRS", pairs)
-                monkeypatch.setattr(mcsim, "_CDIST_POINTS", block)
-                chosen.append(mcsim._serving_station(points, positions, rank))
-            monkeypatch.undo()
-            np.testing.assert_array_equal(chosen[0], chosen[1])
-            np.testing.assert_array_equal(chosen[0], chosen[2])
-
     def test_ties_go_to_the_lower_rank(self):
         # rank 4 at distance 2 and rank 1 at distance 1 score exactly alike
         positions = np.array([[2.0, 0.0], [0.0, 1.0]])
