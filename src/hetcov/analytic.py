@@ -78,10 +78,13 @@ _FIRST_BLOCK = 32
 
 
 def _warn_low_targets(network: Network) -> None:
+    """Flag targets at or below 0 dB.  Only the two series builders call
+    this, and every public caller builds its series in its own frame, so
+    stacklevel 4 names the caller's line."""
     flags = validation_warnings(network)
     if flags:
         message = "; ".join(flags) + "; the value is returned unclamped"
-        warnings.warn(message, AssumptionWarning, stacklevel=3)
+        warnings.warn(message, AssumptionWarning, stacklevel=4)
 
 
 def laplace_interference(network: Network, s: float) -> float:
@@ -113,7 +116,8 @@ def _network_series(network: Network) -> _Series:
     """The general series.  The head term's numerator and the hypergeometric
     sum run over the access tiers, each tier weighted by its active field;
     the head term's denominator keeps every tier because all tiers
-    interfere."""
+    interfere.  Targets at or below 0 dB warn."""
+    _warn_low_targets(network)
     dc = derived_constants(network)
     two_over = 2.0 / network.alpha
     access = [t for _, t in network.access_tiers()]
@@ -245,6 +249,7 @@ def correction_term(network: Network, m: int) -> float:
     Closed access restricts the idle weight and the hypergeometric sum to
     the access tiers while the interference scale keeps all tiers.  Raises
     SeriesConvergenceError when the term is not finite (it overflows).
+    Targets at or below 0 dB warn, as in coverage().
     """
     if m < 1:
         raise ValueError(f"term index must be >= 1, got {m}")
@@ -288,7 +293,6 @@ def correction_trace(
     control = control or _DEFAULT_CONTROL
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _warn_low_targets(network)
     series = _network_series(network)
     if count is None and series.ratio == 0.0:
         return []
@@ -345,7 +349,8 @@ def full_load_coverage(network: Network) -> CoverageResult:
 
     Equals the whole coverage probability when every activity factor is one.
     The connectable numerator runs over the access tiers; the denominator
-    keeps every tier because all tiers interfere.
+    keeps every tier because all tiers interfere.  Targets at or below 0 dB
+    warn, as in coverage().
     """
     series = _network_series(network)
     return CoverageResult(series.base, series.base, series.base, 0, series.ratio, True)
@@ -364,7 +369,6 @@ def coverage(
     alternating sum (u times the sum of the term magnitudes) exceeds epsilon.
     """
     control = control or _DEFAULT_CONTROL
-    _warn_low_targets(network)
     return _coverage_of([_network_series(network)], control)[0]
 
 
@@ -375,9 +379,9 @@ def coverage_batch(
     by one kernel call; each result equals coverage() of its network bit for
     bit."""
     control = control or _DEFAULT_CONTROL
-    for network in networks:
-        _warn_low_targets(network)
-    return _coverage_of([_network_series(network) for network in networks], control)
+    # map, not a comprehension: on Python 3.10 and 3.11 a comprehension is
+    # a frame of its own, and the assumption flag would name it
+    return _coverage_of(list(map(_network_series, networks)), control)
 
 
 def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
@@ -387,7 +391,7 @@ def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
     the magnitude of term 2m (up to one floating-point rounding of the
     endpoints), so the bounds tighten at the series decay rate once past
     the envelope hump.  Raises SeriesConvergenceError when one of the 2m
-    terms is not finite.
+    terms is not finite.  Targets at or below 0 dB warn, as in coverage().
     """
     if m < 1:
         raise ValueError(f"bound order must be >= 1, got {m}")
@@ -400,12 +404,15 @@ def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
     return series.base - math.fsum(terms), series.base - math.fsum(terms[:-1])
 
 
-def truncation_terms(network: Network, epsilon: float, max_terms: int = 10_000) -> int:
+def truncation_terms(
+    network: Network, epsilon: float, max_terms: int = _DEFAULT_CONTROL.max_terms
+) -> int:
     """Smallest series index whose term magnitude falls below epsilon on the
     decreasing side of the envelope.
 
     Raises SeriesConvergenceError when the term cap is hit first, or when
-    the rounding error of the alternating sum exceeds epsilon.
+    the rounding error of the alternating sum exceeds epsilon.  Targets at
+    or below 0 dB warn, as in coverage().
     """
     control = SeriesControl(epsilon=epsilon, max_terms=max_terms)
     series = _network_series(network)
@@ -458,7 +465,6 @@ def coverage_single_tier(
             "single-tier activity of zero leaves no interference field"
         )
     unit = Network(alpha=alpha, tiers=(replace(tier, power=1.0, density=1.0),))
-    _warn_low_targets(unit)
     return _coverage_of([_equal_target_series(unit)], control or _DEFAULT_CONTROL)[0]
 
 
@@ -476,12 +482,13 @@ def coverage_equal_targets(
         raise ModelValidationError(
             f"equal-target coverage requires one common target SIR, got {sorted(targets)}"
         )
-    _warn_low_targets(network)
     series = _equal_target_series(network)
     return _coverage_of([series], control or _DEFAULT_CONTROL)[0]
 
 
 def _equal_target_series(network: Network) -> _Series:
+    """The common-target series; a target at or below 0 dB warns."""
+    _warn_low_targets(network)
     alpha = network.alpha
     two_over = 2.0 / alpha
     c_alpha = interference_constant(alpha)

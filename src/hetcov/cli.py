@@ -145,6 +145,10 @@ def _csv_text(metadata: list[tuple[str, object]], header: list[str], rows) -> st
     return _metadata(metadata) + "\n".join(lines) + "\n"
 
 
+def _series_control(args) -> SeriesControl:
+    return SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
+
+
 def _sim_config(args) -> SimConfig:
     return SimConfig(
         trials=args.trials,
@@ -188,8 +192,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_coverage(network, args) -> tuple[str, int, str]:
-    control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
-    result = coverage(network, control)
+    result = coverage(network, _series_control(args))
     report = {
         "engine": "analytic",
         "access": "open" if network.is_open_access else "closed",
@@ -223,7 +226,7 @@ def _cmd_simulate(network, args) -> tuple[str, int, str]:
 
 
 def _cmd_compare(network, args) -> tuple[str, int, str]:
-    control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
+    control = _series_control(args)
     sim = _sim_config(args)
     analytic_ct = coverage(network, control)
     analytic = (analytic_ct, full_load_coverage(network), coverage_idle_only(network, control))
@@ -377,7 +380,7 @@ def _sweep_grid(network, target, values, control, args):
 
 
 def _cmd_sweep(network, args) -> tuple[str, int, str]:
-    control = SeriesControl(epsilon=args.epsilon, max_terms=args.max_terms)
+    control = _series_control(args)
     values = _parse_grid(args.sweep_values)
     target = args.sweep_target
     if target == "series_index":
@@ -423,10 +426,11 @@ def _cmd_raster(network, args) -> tuple[str, int, str]:
 
 
 def _add_series_flags(parser) -> None:
-    parser.add_argument("--epsilon", type=_POSITIVE, default=1e-10,
-                        help="series stopping tolerance (default 1e-10)")
-    parser.add_argument("--max-terms", type=_COUNT, default=10_000,
-                        help="series term cap (default 10000)")
+    default = SeriesControl()
+    parser.add_argument("--epsilon", type=_POSITIVE, default=default.epsilon,
+                        help=f"series stopping tolerance (default {default.epsilon})")
+    parser.add_argument("--max-terms", type=_COUNT, default=default.max_terms,
+                        help=f"series term cap (default {default.max_terms})")
 
 
 def _add_sim_flags(parser, default_trials: int | None) -> None:
@@ -439,10 +443,11 @@ def _add_sim_flags(parser, default_trials: int | None) -> None:
                         help="simulation seed (default 0, announced in output)")
     parser.add_argument("--radius", type=_POSITIVE, default=None,
                         help="window radius (default derived from densities)")
-    parser.add_argument("--min-points", type=_COUNT, default=500,
+    default = SimConfig.min_expected_points
+    parser.add_argument("--min-points", type=_COUNT, default=default,
                         help="expected stations of the sparsest tier in the "
                              "derived window: max(500, value), so a value "
-                             "below 500 changes nothing (default 500)")
+                             f"below 500 changes nothing (default {default})")
 
 
 @functools.cache
@@ -517,6 +522,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         network = _load_network(args.scenario)
         with warnings.catch_warnings(record=True) as caught:
+            # every user warning reaches stderr, whatever the caller's
+            # filters; other categories keep them (a test suite may make a
+            # RuntimeWarning an error)
+            warnings.simplefilter("always", UserWarning)
             text, code, note = args.func(network, args)
         _emit(text, args.out)
         for message in dict.fromkeys(str(w.message) for w in caught):

@@ -132,9 +132,18 @@ class Network:
         return [(i, t) for i, t in enumerate(self.tiers, start=1) if i in self.access]
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true is not a number).  JSON's
+    own float and int are checked first: the numbers.Real check is an ABC
+    lookup that costs more than the rest of reading a value."""
+    if type(value) in (float, int):
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _tier_index(value) -> int:
-    """An access entry as an int; 2.0 passes, 1.5 and "x" do not."""
-    if not isinstance(value, numbers.Real) or value % 1 != 0:
+    """An access entry as an int; 2.0 passes, 1.5, "x" and true do not."""
+    if not _is_number(value) or value % 1 != 0:
         raise ModelValidationError(f"access indices must be integers, got {value!r}")
     return int(value)
 
@@ -391,15 +400,17 @@ def _db_to_linear(db: float) -> float:
 
 
 def _number(doc: dict, key: str, where: str) -> float:
-    """doc[key] as a float; a missing or non-numeric value names where and key."""
+    """doc[key] as a float; a missing value, or one that is not a JSON number
+    ("4", true) or overflows a float, names where and key."""
     if key not in doc:
         raise ModelValidationError(f"{where} is missing required key {key!r}")
+    value = doc[key]
     try:
-        return float(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelValidationError(
-            f"{where}: {key} must be a number, got {doc[key]!r}"
-        ) from exc
+        if _is_number(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ModelValidationError(f"{where}: {key} must be a number, got {value!r}")
 
 
 def network_from_dict(doc: dict) -> Network:

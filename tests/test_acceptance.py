@@ -8,7 +8,6 @@ each and dominate the runtime (a few minutes total).
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -16,18 +15,10 @@ import pytest
 import hetcov as hc
 from helpers import random_converging_network, random_network
 
-warnings.simplefilter("ignore", hc.AssumptionWarning)
-
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}{detail}")
     assert ok, f"criterion {num} failed: {name}{detail}"
-
-
-def quiet_coverage(net, control=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", hc.AssumptionWarning)
-        return hc.coverage(net, control)
 
 
 def test_c01_convergence_threshold_value():
@@ -66,7 +57,7 @@ def test_c03_full_load_reduction():
     ok = True
     for _ in range(50):
         net = random_network(rng, activity_range=(1.0, 1.0))
-        result = quiet_coverage(net)
+        result = hc.coverage(net)
         full = hc.full_load_coverage(net)
         ok &= result.terms_used == 0
         ok &= abs(result.value - full.value) <= 1e-12
@@ -90,7 +81,7 @@ def test_c04_bounds_sandwich():
     ok = True
     for _ in range(20):
         net = windowed_network()
-        value = quiet_coverage(net, tight).value
+        value = hc.coverage(net, tight).value
         widths = []
         for m in range(1, 11):
             lower, upper = hc.coverage_bounds(net, m)
@@ -105,18 +96,18 @@ def test_c04_bounds_sandwich():
 
 
 def test_c05_scale_invariance():
-    reference = quiet_coverage(
+    reference = hc.coverage(
         hc.Network(alpha=3.9, tiers=(hc.Tier(1.0, 1.0, 2.0, 0.55),))
     ).value
     worst = 0.0
     for c in (0.1, 1.0, 10.0):
         for d in (0.1, 1.0, 10.0):
-            scaled = quiet_coverage(
+            scaled = hc.coverage(
                 hc.Network(alpha=3.9, tiers=(hc.Tier(d, c, 2.0, 0.55),))
             ).value
             worst = max(worst, abs(scaled - reference))
     tiers = tuple(hc.Tier(10.0**i, 1.5 * i + 0.5, 2.0, 0.55) for i in range(3))
-    k_tier = quiet_coverage(hc.Network(alpha=3.9, tiers=tiers)).value
+    k_tier = hc.coverage(hc.Network(alpha=3.9, tiers=tiers)).value
     single = hc.coverage_single_tier(1.0, 1.0, 2.0, 0.55, 3.9).value
     ok = worst <= 1e-10 and abs(k_tier - single) <= 1e-10
     report(5, "scale invariance and K-tier collapse", ok,
@@ -173,13 +164,13 @@ def test_c07_monte_carlo_agreement_two_tier():
     details = []
     for beta_db in (0.0, 2.0, 4.0, 8.0):
         net = fig6_network(beta_db)
-        analytic = quiet_coverage(net).value
+        analytic = hc.coverage(net).value
         est = hc.estimate_coverage(net, hc.SimConfig(trials=100_000, seed=1234))
         tolerance = max(0.01, 3.0 * est.stderr)
         ok &= abs(analytic - est.mean) <= tolerance
         details.append(f"{beta_db:+.0f}dB:{abs(analytic - est.mean):.4f}")
     low = fig6_network(-6.0)
-    analytic_low = quiet_coverage(low).value
+    analytic_low = hc.coverage(low).value
     est_low = hc.estimate_coverage(low, hc.SimConfig(trials=100_000, seed=1234))
     ok &= analytic_low > est_low.mean  # series overshoots below 0 dB
     report(7, "two-tier series vs simulation", ok,
@@ -188,10 +179,10 @@ def test_c07_monte_carlo_agreement_two_tier():
 
 
 def test_c08_full_load_pessimism():
-    loaded = quiet_coverage(
+    loaded = hc.coverage(
         hc.Network(alpha=3.8, tiers=(hc.Tier(1.0, 1.0, 1.0, 0.8),))
     ).value
-    full = quiet_coverage(
+    full = hc.coverage(
         hc.Network(alpha=3.8, tiers=(hc.Tier(1.0, 1.0, 1.0, 1.0),))
     ).value
     analytic_gap = loaded - full
@@ -208,7 +199,7 @@ def test_c08_full_load_pessimism():
 
 def test_c09_density_sweep_trends():
     def level(lam2: float, p2: float) -> float:
-        return quiet_coverage(
+        return hc.coverage(
             hc.Network(
                 alpha=3.8,
                 tiers=(hc.Tier(1.0, 1.0, 1.0, 0.6), hc.Tier(0.01, lam2, 1.0, p2)),
@@ -246,7 +237,7 @@ def test_c10_detailed_system_simulation():
                 for t, a in zip(net.tiers, activities)
             ),
         )
-        analytic = quiet_coverage(calibrated).value
+        analytic = hc.coverage(calibrated).value
         est = hc.estimate_coverage_system(
             net, user_density, blocks,
             hc.SimConfig(trials=2500, seed=77, window_radius=12.0),
@@ -274,7 +265,7 @@ def test_c11_closed_versus_open():
             alpha=rng.uniform(2.8, 5.0), tiers=tiers, access=list(range(1, keep + 1))
         )
         opened = hc.Network(alpha=closed.alpha, tiers=tiers)
-        ok &= quiet_coverage(closed).value <= quiet_coverage(opened).value + 1e-12
+        ok &= hc.coverage(closed).value <= hc.coverage(opened).value + 1e-12
         sim = hc.SimConfig(trials=1500, seed=400 + i)
         ok &= (
             hc.estimate_coverage(closed, sim).mean
@@ -293,7 +284,7 @@ def test_c11_closed_versus_open():
         restricted = hc.Network(alpha=3.8, tiers=tiers, access=[1, 3])
         unrestricted = hc.Network(alpha=3.8, tiers=tiers)
         gaps.append(
-            quiet_coverage(unrestricted).value - quiet_coverage(restricted).value
+            hc.coverage(unrestricted).value - hc.coverage(restricted).value
         )
     ok &= all(g >= -1e-12 for g in gaps)
     ok &= all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

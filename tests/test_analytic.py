@@ -185,6 +185,32 @@ class TestCoverage:
             _warnings.simplefilter("error", AssumptionWarning)
             coverage(single_tier(target_sir=2.0))
 
+    @pytest.mark.parametrize(
+        "call, flags",
+        [
+            (lambda net: coverage(net), 1),
+            (lambda net: coverage_batch([net]), 1),
+            (lambda net: correction_trace(net), 1),
+            (lambda net: correction_term(net, 2), 1),
+            (lambda net: full_load_coverage(net), 1),
+            (lambda net: coverage_bounds(net, 2), 1),
+            (lambda net: truncation_terms(net, 1e-10), 1),
+            (lambda net: coverage_single_tier(1.0, 1.0, net.tiers[0].target_sir, 0.5, 4.0), 1),
+            (lambda net: coverage_equal_targets(net), 1),
+            # the idle-only series is exact for every target
+            (lambda net: coverage_idle_only(net), 0),
+        ],
+        ids=["coverage", "coverage_batch", "correction_trace", "correction_term",
+             "full_load_coverage", "coverage_bounds", "truncation_terms",
+             "coverage_single_tier", "coverage_equal_targets", "coverage_idle_only"],
+    )
+    def test_a_target_below_0_db_is_flagged_once_at_the_callers_line(
+        self, recwarn, call, flags
+    ):
+        call(single_tier(target_sir=10.0**-0.3))  # -3 dB
+        flagged = [(w.category, w.filename) for w in recwarn]
+        assert flagged == [(AssumptionWarning, __file__)] * flags
+
     def test_converged_bracket(self):
         net = single_tier(target_sir=1.5, activity=0.6)
         result = coverage(net)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,8 +208,13 @@ TIER = {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.8}
         {"alpha": 3.8, "tiers": [TIER], "access": "x"},
         {"alpha": 3.8, "tiers": [TIER, TIER], "access": [1.5]},
         {"alpha": 3.8, "tiers": [{**TIER, "target_sir_db": 1e4}]},
+        # JSON true and "4" are not numbers, though Python would read them as 1 and 4
+        {"alpha": 3.8, "tiers": [{**TIER, "power": True}]},
+        {"alpha": "4", "tiers": [TIER]},
+        {"alpha": 3.8, "tiers": [TIER, TIER], "access": [True]},
     ],
-    ids=["power", "alpha", "tier", "access", "fractional-access", "db-overflow"],
+    ids=["power", "alpha", "tier", "access", "fractional-access", "db-overflow",
+         "boolean-power", "string-alpha", "boolean-access"],
 )
 def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
     scenario = write_scenario(tmp_path / "malformed.json", doc)
@@ -317,7 +323,6 @@ def test_warnings_are_one_line_each_after_the_output(capsys, tmp_path, argv):
                             "window; enlarge the window or densities\n")
 
 
-@pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
 @pytest.mark.parametrize(
     "scenario, sweep, row, target",
     [
@@ -336,6 +341,48 @@ def test_sweeps_at_or_below_0_db_flag_the_assumption(capsys, request, scenario, 
     assert captured.out.splitlines()[-1].startswith(row)
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"warning: tier 1: target SIR {target} is at or below 0 dB")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sweep-target", "series_index", "--sweep-values", "1,2"],
+        # a window of radius 1e-160 holds no station in any trial
+        ["simulate", "--radius", "1e-160", "--trials", "100"],
+    ],
+    ids=["series_index", "empty-window"],
+)
+def test_warnings_reach_stderr_whatever_the_callers_filters(capsys, full_load_scenario, argv):
+    argv = [*argv, "--scenario", full_load_scenario]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+
+    def fresh(**extra):
+        run = subprocess.run([sys.executable, "-m", "hetcov.cli", *argv], capture_output=True,
+                             text=True, env=dict(env, **extra), timeout=120, check=False)
+        return run.returncode, run.stdout, run.stderr
+
+    default = fresh()
+    assert default[2].startswith("warning: ")
+    assert fresh(PYTHONWARNINGS="ignore") == default
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == default
+
+
+def test_other_warning_categories_keep_the_callers_filters(monkeypatch, loaded_scenario):
+    # only user warnings are forced onto stderr: a caller that makes a
+    # RuntimeWarning an error still gets it raised
+    def overflowing(*args, **kwargs):
+        warnings.warn("overflow", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "coverage", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            cli.main(["coverage", "--scenario", loaded_scenario])
 
 
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]
@@ -891,8 +938,6 @@ class TestRasterCommand:
 
 
 class TestParserReuse:
-    # a fresh process shows the assumption flag of the 0 dB series trace
-    @pytest.mark.filterwarnings("default::hetcov.model.AssumptionWarning")
     def test_commands_in_one_process_match_fresh_processes(
         self, capsys, tmp_path, loaded_scenario, full_load_scenario
     ):

@@ -232,13 +232,9 @@ class TestEstimateCoverage:
         assert abs(est.mean - 2.0 / math.pi) < 3.0 * est.stderr
 
     def test_thinned_estimate_matches_series_single_tier(self):
-        import warnings as _warnings
-
         net = single_tier(target_sir=1.0, activity=0.5)
         est = hc.estimate_coverage(net, hc.SimConfig(trials=100_000, seed=26))
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", hc.AssumptionWarning)
-            analytic = hc.coverage(net).value
+        analytic = hc.coverage(net).value
         assert abs(est.mean - analytic) < 3.0 * est.stderr
 
     def test_window_adequacy(self):
@@ -270,7 +266,7 @@ class TestEstimateCoverage:
         net = two_tier(p1=0.5, p2=0.3)
         sim = hc.SimConfig(trials=60, seed=31, window_radius=5.0)
         batched = hc.estimate_coverage(net, sim, load=load)
-        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one trial per batch
+        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one row per chunk
         assert hc.estimate_coverage(net, sim, load=load) == batched
 
     def test_reports_the_window_it_sampled(self):
@@ -324,17 +320,14 @@ class TestEstimateCoverageSystem:
                 for t, a in zip(net.tiers, activities)
             ),
         )
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", hc.AssumptionWarning)
-            analytic = hc.coverage(loaded).value
+        analytic = hc.coverage(loaded).value
         assert abs(est.mean - analytic) < 0.05
 
     def test_batching_changes_nothing(self, monkeypatch):
         sim = hc.SimConfig(trials=40, seed=32, window_radius=5.0)
         batched = hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim)
-        monkeypatch.setattr(mcsim, "_POINT_BUDGET", 1)  # one trial per batch
+        # every block a lone column: the reducer's cumsum branches
+        monkeypatch.setattr(mcsim, "_BLOCK_TRIALS", 1)
         assert hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim) == batched
 
     @pytest.mark.parametrize(
