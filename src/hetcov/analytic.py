@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .model import (
     Network,
     SeriesControl,
     Tier,
+    _series_sums,
     derived_constants,
     effective_load,
     validation_warnings,
@@ -95,8 +96,7 @@ def laplace_interference(network: Network, s: float) -> float:
     return math.exp(-scale * s ** (2.0 / network.alpha))
 
 
-@dataclass(frozen=True)
-class _Series:
+class _Series(NamedTuple):
     """Parameters of one correction series, with delta = 2/alpha.
 
     Term m is (-ratio)^m [1/Gamma(1 + delta m) - pi Gamma(1 + delta)
@@ -118,20 +118,13 @@ def _network_series(network: Network) -> _Series:
     the head term's denominator keeps every tier because all tiers
     interfere.  Targets at or below 0 dB warn."""
     _warn_low_targets(network)
-    dc = derived_constants(network)
-    two_over = 2.0 / network.alpha
-    access = [t for _, t in network.access_tiers()]
-    active = [
-        t.activity * t.density * t.power**two_over * t.target_sir**-two_over
-        for t in access
-    ]
-    denominator = sum(t.activity * t.density * t.power**two_over for t in network.tiers)
+    idle, scale, c_alpha, actives, targets, load = _series_sums(network)
     return _Series(
-        alpha=network.alpha,
-        ratio=dc.a_over_eta,
-        base=math.pi / dc.c_alpha * sum(active) / denominator,
-        betas=tuple(t.target_sir for t in access),
-        weights=tuple(a / dc.interference_scale for a in active),
+        network.alpha,
+        idle / scale,
+        math.pi / c_alpha * sum(actives) / load,
+        tuple(targets),
+        tuple([a / scale for a in actives]),
     )
 
 
@@ -300,16 +293,28 @@ def correction_trace(
     m = np.arange(1.0, len(terms) + 1.0)
     with np.errstate(divide="ignore", over="ignore"):
         majorants = np.exp(m * np.log(series.ratio) - gammaln(1.0 + 2.0 * m / network.alpha))
-    trace, exact, total = [], Fraction(0), 0.0
-    for index, (term, majorant) in enumerate(zip(terms, majorants), start=1):
-        # the exact running sum rounds as math.fsum of the prefix does, in
-        # one pass; once the float sum is not finite (from the first
-        # non-finite term on) it stays inf or nan, where fsum raises
+    trace, partials, total = [], [], 0.0
+    for index, (term, majorant) in enumerate(zip(terms, majorants.tolist()), start=1):
+        # partials hold the running sum exactly as a float expansion
+        # (Shewchuk's grow-expansion, the partials math.fsum keeps), so each
+        # partial sum rounds as math.fsum of the prefix does, in one pass;
+        # once the float sum is not finite (from the first non-finite term
+        # on) it stays inf or nan, where fsum raises
         total += term
         if math.isfinite(total):
-            exact += Fraction(term)
-            total = float(exact)
-        trace.append(SeriesTermTrace(index, term, float(majorant), total))
+            x, kept = term, 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                high = x + y
+                low = y - (high - x)
+                if low:
+                    partials[kept] = low
+                    kept += 1
+                x = high
+            partials[kept:] = [x]
+            total = math.fsum(partials)
+        trace.append(SeriesTermTrace(index, term, majorant, total))
     return trace
 
 

@@ -21,7 +21,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .model import (
     ModelValidationError,
     Network,
     SeriesControl,
+    Tier,
     _db_to_linear,
     activity_from_user_density,
     network_from_dict,
@@ -127,10 +128,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as standard JSON (RFC 8259), where a float that is not
+    finite, such as the z of a zero-stderr estimate, reads null."""
+    return json.dumps(_finite(report), indent=2, sort_keys=True) + "\n"
+
+
+def _finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -141,7 +156,7 @@ def _metadata(pairs: list[tuple[str, object]]) -> str:
 
 
 def _csv_text(metadata: list[tuple[str, object]], header: list[str], rows) -> str:
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     return _metadata(metadata) + "\n".join(lines) + "\n"
 
 
@@ -280,10 +295,12 @@ def _sweep_grid(network, target, values, control, args):
     """Every sweep target except series_index.  Each grid value gives its
     leading cells and the networks the engines evaluate: one network, or
     for an access fraction its closed-access and its open-access variant.
-    All analytic points of the sweep go through the series kernel in one
-    call, then the Monte Carlo engine runs once per network, or once per
-    user density in the system simulation.  Also returns the grid values
-    whose series did not converge."""
+    Each point's tiers and networks come from their constructors, which
+    check them as the scenario's were checked.  All analytic points of the
+    sweep go through the series kernel in one call, then the Monte Carlo
+    engine runs once per network, or once per user density in the system
+    simulation.  Also returns the grid values whose series did not
+    converge."""
     want_analytic = args.engine in ("analytic", "both")
     want_mc = args.engine in ("mc", "both")
     analytic = ["analytic_value", "analytic_lower", "analytic_upper"]
@@ -302,8 +319,9 @@ def _sweep_grid(network, target, values, control, args):
             # the system simulation draws its own activities from the users,
             # so only the analytic engine evaluates the loaded network
             if want_analytic:
-                tiers = tuple(replace(t, activity=a) for t, a in zip(network.tiers, activities))
-                networks.append([replace(network, tiers=tiers)])
+                tiers = tuple(Tier(t.power, t.density, t.target_sir, a)
+                              for t, a in zip(network.tiers, activities))
+                networks.append([Network(network.alpha, tiers, network.access)])
     elif target == "access_fraction":
         outside = [i for i in range(1, network.num_tiers + 1) if i not in network.access]
         if len(outside) != 1:
@@ -322,8 +340,11 @@ def _sweep_grid(network, target, values, control, args):
             # The scenario's closed tier keeps its density; the open part of
             # the same class grows with the fraction to keep the closed
             # density fixed.
-            open_tier = replace(
-                closed_tier, density=closed_tier.density * f / (1.0 - f)
+            open_tier = Tier(
+                closed_tier.power,
+                closed_tier.density * f / (1.0 - f),
+                closed_tier.target_sir,
+                closed_tier.activity,
             )
             tiers = network.tiers + (open_tier,)
             rows.append([f])
@@ -346,14 +367,18 @@ def _sweep_grid(network, target, values, control, args):
         else:
             raise ModelValidationError(f"unknown sweep target {target!r}")
         lead = [re.sub(r"[^0-9A-Za-z_]+", "_", target).strip("_")]
-        in_db = field == "target_sir_db"
+        # the swept field's position among Tier's fields
+        slot = ("power", "density", "target_sir_db", "activity").index(field)
         for value in values:
-            setting = {"target_sir": _db_to_linear(value)} if in_db else {field: value}
+            setting = _db_to_linear(value) if field == "target_sir_db" else value
             tiers = list(network.tiers)
             for i in indices:
-                tiers[i] = replace(tiers[i], **setting)
+                t = tiers[i]
+                fields = [t.power, t.density, t.target_sir, t.activity]
+                fields[slot] = setting
+                tiers[i] = Tier(*fields)
             rows.append([value])
-            networks.append([replace(network, tiers=tuple(tiers))])
+            networks.append([Network(network.alpha, tuple(tiers), network.access)])
     header = lead + (analytic if want_analytic else []) + (mc if want_mc else [])
     unconverged = []
     if want_analytic:

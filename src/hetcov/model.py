@@ -224,24 +224,53 @@ def derived_constants(network: Network) -> DerivedConstants:
     interference_scale deliberately sums over every tier, because all tiers
     interfere whether or not they are connectable.
     """
-    alpha = network.alpha
-    two_over = 2.0 / alpha
-    c_alpha = interference_constant(alpha)
-    idle = math.pi * math.gamma(1.0 + two_over) * sum(
-        (1.0 - t.activity)
-        * _weight(t, alpha)
-        * t.target_sir**-two_over
-        for _, t in network.access_tiers()
-    )
-    scale = c_alpha * sum(t.activity * _weight(t, alpha) for t in network.tiers)
-    if not scale > 0.0:
-        raise ModelValidationError("interference scale is zero: no tier transmits")
+    idle, scale, c_alpha, *_ = _series_sums(network)
     return DerivedConstants(
         idle_weight=idle,
         interference_scale=scale,
         a_over_eta=idle / scale,
         c_alpha=c_alpha,
     )
+
+
+def _series_sums(
+    network: Network,
+) -> tuple[float, float, float, list[float], list[float], float]:
+    """(idle_weight, interference_scale, c_alpha, actives, targets, load) of
+    the series from one pass over the tiers, with d = 2/alpha and per tier
+    activity p, density l, power P and target b:
+
+        idle_weight        = pi Gamma(1 + d) sum_access ((1 - p) (l P^d)) b^-d
+        interference_scale = c_alpha sum p (l P^d)
+        actives[i]         = ((p l) P^d) b^-d of the i-th access tier
+        load               = sum (p l) P^d
+
+    with targets[i] the i-th access tier's b.  The reports print values
+    built from these with repr, so each product keeps the operand order
+    shown, and each sum is sum() of a list rather than a running +=, which
+    Python 3.12 and later round differently from sum().
+    """
+    alpha = network.alpha
+    two_over = 2.0 / alpha
+    access = network.access
+    idles, transmits, loads, actives, targets = [], [], [], [], []
+    for i, t in enumerate(network.tiers, start=1):
+        reach = t.power**two_over
+        weight = t.density * reach
+        transmits.append(t.activity * weight)
+        load = t.activity * t.density * reach
+        loads.append(load)
+        if i in access:
+            spread = t.target_sir**-two_over
+            idles.append((1.0 - t.activity) * weight * spread)
+            actives.append(load * spread)
+            targets.append(t.target_sir)
+    c_alpha = interference_constant(alpha)
+    idle = math.pi * math.gamma(1.0 + two_over) * sum(idles)
+    scale = c_alpha * sum(transmits)
+    if not scale > 0.0:
+        raise ModelValidationError("interference scale is zero: no tier transmits")
+    return idle, scale, c_alpha, actives, targets, sum(loads)
 
 
 def hypergeometric_sum(

@@ -4,6 +4,7 @@ byte-level determinism."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from hetcov import (
     Network,
     SimConfig,
     Tier,
+    activity_from_user_density,
     cli,
     coverage,
     estimate_coverage,
@@ -271,6 +273,59 @@ def test_bad_sweep_values_are_validation_errors(capsys, request, argv):
     assert captured.out == ""
     assert captured.err.startswith("validation error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "scenario, target, message",
+    [
+        ("loaded_scenario", "tier[1].activity=1,1.5", "activity must lie in [0, 1], got 1.5"),
+        ("loaded_scenario", "tier[2].density=1,-1", "density must be non-negative, got -1.0"),
+        ("loaded_scenario", "tier[1].power=1,0", "power must be positive, got 0.0"),
+        ("full_load_scenario", "tier[1].activity=1,0",
+         "no tier transmits (activity * density * power is zero everywhere); "
+         "the interference field would be empty and the SIR model degenerate"),
+    ],
+    ids=["activity-above-1", "negative-density", "zero-power", "no-tier-transmits"],
+)
+def test_sweep_points_outside_the_model_domain_name_the_check(
+    capsys, request, scenario, target, message
+):
+    # the first value is valid, so the point built from the second fails
+    target, values = target.split("=")
+    argv = ["sweep", "--scenario", request.getfixturevalue(scenario),
+            "--sweep-target", target, f"--sweep-values={values}"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # a 12-trial estimate that covers every trial has stderr 0, so its z is infinite
+        (["compare", "--trials", "12", "--seed", "5"], lambda r: r["rows"][0]["z"]),
+        # a window that mostly holds no interferer leaves an infinite bound
+        (["simulate", "--trials", "50", "--seed", "1", "--radius", "0.3"],
+         lambda r: r["truncated_interference_bound"]),
+    ],
+    ids=["compare", "simulate"],
+)
+def test_reports_are_standard_json_with_null_for_non_finite_values(capsys, tmp_path, argv, field):
+    scenario = write_scenario(
+        tmp_path / "one.json",
+        {"alpha": 4.0,
+         "tiers": [{"power": 1.0, "density": 1.0, "target_sir_db": 0.5, "activity": 0.4}]},
+    )
+    assert cli.main([*argv, "--scenario", scenario]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert field(report) is None
+    if argv[0] == "compare":
+        assert report["rows"][0]["flagged"] is True
+        assert report["any_flagged"] is True
 
 
 @pytest.mark.parametrize(
@@ -787,6 +842,77 @@ class TestSweepCommand:
             closed = coverage(Network(alpha=3.8, tiers=tiers, access=[1, 3])).value
             opened = coverage(Network(alpha=3.8, tiers=tiers)).value
             assert row[1:] == [repr(closed), repr(opened), repr(opened - closed)]
+
+    @staticmethod
+    def reference_points(network, target, value):
+        """The networks behind one analytic sweep row, built with
+        dataclasses.replace as a library user would."""
+        if target == "user_density":
+            activities = activity_from_user_density(network, value, 10)
+            tiers = [replace(t, activity=a) for t, a in zip(network.tiers, activities)]
+            return [replace(network, tiers=tuple(tiers))]
+        if target == "access_fraction":
+            (closed,) = (t for i, t in enumerate(network.tiers, 1) if i not in network.access)
+            tiers = (*network.tiers, replace(closed, density=closed.density * value / (1 - value)))
+            opened = network.access | {len(tiers)}
+            return [replace(network, tiers=tiers, access=opened),
+                    replace(network, tiers=tiers, access=None)]
+        name, _, field = target.rpartition(".")
+        indices = range(len(network.tiers)) if not name else [int(name[5:-1]) - 1]
+        if field == "target_sir_db":
+            field, value = "target_sir", 10.0 ** (value / 10.0)
+        tiers = list(network.tiers)
+        for i in indices:
+            tiers[i] = replace(tiers[i], **{field: value})
+        return [replace(network, tiers=tuple(tiers))]
+
+    def test_analytic_cells_are_the_coverage_of_each_point(self, capsys, tmp_path):
+        rng = random.Random(18)
+        targets = {
+            "density": lambda: 10.0 ** rng.uniform(-1.0, 1.0),
+            "activity": lambda: rng.uniform(0.3, 1.0),
+            "power": lambda: 10.0 ** rng.uniform(-2.0, 1.0),
+            "target_sir_db": lambda: rng.uniform(0.5, 10.0),
+        }
+        for n in range(40):
+            k = rng.randint(1, 4)
+            doc = {
+                "alpha": rng.uniform(2.6, 5.5),
+                "tiers": [{"power": 10.0 ** rng.uniform(-2.0, 1.0),
+                           "density": 10.0 ** rng.uniform(-1.0, 1.0),
+                           "target_sir_db": rng.uniform(0.5, 10.0),
+                           "activity": rng.uniform(0.3, 1.0)} for _ in range(k)],
+            }
+            if k > 1 and rng.random() < 0.5:
+                # one closed tier (access_fraction sweeps need that), or two of four
+                closed = rng.sample(range(1, k + 1), 2 if k == 4 and rng.random() < 0.5 else 1)
+                doc["access"] = [i for i in range(1, k + 1) if i not in closed]
+            path = write_scenario(tmp_path / f"net{n}.json", doc)
+            network = network_from_dict(doc)
+            grid = {f"tier[{rng.randint(1, k)}].{field}": [draw() for _ in range(3)]
+                    for field, draw in targets.items()}
+            grid["target_sir_db"] = [targets["target_sir_db"]() for _ in range(3)]
+            grid["user_density"] = [rng.uniform(1.0, 30.0) for _ in range(3)]
+            if len(network.access) == k - 1:
+                grid["access_fraction"] = [rng.uniform(0.0, 0.9) for _ in range(3)]
+            for target, values in grid.items():
+                code, _, header, rows = run_csv(
+                    capsys,
+                    ["sweep", "--scenario", path, "--sweep-target", target,
+                     "--sweep-values", ",".join(map(repr, values)), "--resource-blocks", "10"],
+                )
+                assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE)
+                for value, row in zip(values, rows, strict=True):
+                    points = self.reference_points(network, target, value)
+                    found = [coverage(net) for net in points]
+                    if target == "access_fraction":
+                        closed, opened = (r.value for r in found)
+                        expected = [closed, opened, opened - closed]
+                    else:
+                        expected = [found[0].value, found[0].lower, found[0].upper]
+                    # a user_density row leads with the grid value and k activities
+                    lead = 1 + k if target == "user_density" else 1
+                    assert row[lead:] == list(map(repr, expected)), (n, target, value)
 
     def test_low_load_sweep_writes_every_row_and_exits_3(self, capsys, loaded_scenario):
         code = cli.main(

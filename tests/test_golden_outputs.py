@@ -43,6 +43,22 @@ NETS = {
         ],
         "access": [1],
     },
+    "three": {
+        "alpha": 3.6,
+        "tiers": [
+            {"power": 1.0, "density": 1.0, "target_sir_db": 4.0, "activity": 0.7},
+            {"power": 0.2, "density": 3.0, "target_sir_db": 2.0, "activity": 0.5},
+            {"power": 0.02, "density": 6.0, "target_sir_db": 1.0, "activity": 0.4},
+        ],
+    },
+    # low load: the trace's largest term within 16 terms is about 1.4e7
+    "lowload": {
+        "alpha": 4.0,
+        "tiers": [
+            {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.06},
+            {"power": 0.1, "density": 2.0, "target_sir_db": 2.0, "activity": 0.09},
+        ],
+    },
 }
 
 MC = ["--trials", "130", "--seed", "3", "--radius", "4"]
@@ -79,6 +95,14 @@ COMMANDS = {
                                 "--sweep-values", "0,0.5", "--engine", "both", *MC]),
     "sweep-series": ("two", ["sweep", "--sweep-target", "series_index",
                              "--sweep-values", "1,2,7"]),
+    "sweep-power-3": ("three", ["sweep", "--sweep-target", "tier[1].power",
+                                "--sweep-values", "0.5:4:3:log", "--engine", "both", *MC]),
+    "sweep-activity-3": ("three", ["sweep", "--sweep-target", "tier[3].activity",
+                                   "--sweep-values", "0.2,0.6,1"]),
+    "sweep-target-closed": ("closed", ["sweep", "--sweep-target", "target_sir_db",
+                                       "--sweep-values", "1,3,6"]),
+    "sweep-series-peak": ("lowload", ["sweep", "--sweep-target", "series_index",
+                                      "--sweep-values", "1,5,16"]),
     "raster": ("closed", ["raster", "--resolution", "24", "--radius", "3", "--seed", "4",
                           "--mode", "thinned-biased", "--placement", "hex-first-tier"]),
 }
@@ -100,6 +124,10 @@ GOLDEN = {
     "sweep-users": "c6caac59d39e23a339c53e44a8ad32458453f73689a519b5208a0698be70aae5",
     "sweep-access": "f70eb9dd71e5aabc2d308fa18c751e3136c9a4101d258c3f59df25e4abef3cf2",
     "sweep-series": "75e7c0d8c58f74c9af64df2c952e21c57e98a015e02554d6c89fe2ba8b82db4a",
+    "sweep-power-3": "73fd73ef4d5bf0ad87eae665ffc064652914754e0ecb7fde3bcb0ace79e10947",
+    "sweep-activity-3": "dd4392b7a9b42658fad3d8a273215f82c91bb728346810eb8f8c63cb68ca0e96",
+    "sweep-target-closed": "0e32aa12f2d0cb75fb3a354fd2f737a4c540fbbc891f5bf0844b0521f591a3ee",
+    "sweep-series-peak": "1e939da8f36b9e06763d09a59012afa5b05afe8f2a2fa3d5cbb7ec0424984763",
     "raster": "245f85d4671ed4e761343603d3e128ccfad918884763215cbca3c14094eeb754",
 }
 
