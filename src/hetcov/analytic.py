@@ -149,7 +149,8 @@ def _series_terms(
 
     Each block computes a run of term indices for all series still going as
     arrays of shape (series x indices), with one row of hypergeometric
-    factors per distinct (alpha, target) pair.  Without count a series stops
+    factors per distinct (alpha, target) pair and one row of Gamma factors
+    per distinct alpha.  Without count a series stops
     at the first index whose term is below epsilon while its envelope
     ratio^m / Gamma(1 + 2m/alpha) is falling, so a small term inside the
     rising part (possible when ratio > 1) cannot end the summation early;
@@ -165,21 +166,31 @@ def _series_terms(
     if count is not None:
         cap, epsilon, limit = count, 0.0, math.inf
     rows: dict[tuple[float, float], int] = {}
-    width = max((len(s.betas) for s in series), default=0)
-    row_of = np.zeros((len(series), width), dtype=int)
-    weight = np.zeros((len(series), width))
-    for i, s in enumerate(series):
-        for k, (beta, w) in enumerate(zip(s.betas, s.weights)):
-            row_of[i, k] = rows.setdefault((2.0 / s.alpha, beta), len(rows))
-            weight[i, k] = w
+    # The Gamma rows depend on alpha alone: one row per distinct alpha,
+    # which of_delta names for each series.
+    deltas: dict[float, int] = {}
+    width = max([len(s.betas) for s in series], default=0)
+    row_of, weight, of_delta, ratios = [], [], [], []
+    for alpha, ratio, _, betas, weights in series:
+        delta = 2.0 / alpha
+        of_delta.append(deltas.setdefault(delta, len(deltas)))
+        ratios.append([ratio])
+        for beta in betas:
+            row_of.append(rows.setdefault((delta, beta), len(rows)))
+        pad = width - len(betas)
+        row_of += [0] * pad
+        weight += [*weights, *[0.0] * pad]
+    row_of = np.array(row_of, dtype=int).reshape(len(series), width)
+    weight = np.array(weight, dtype=float).reshape(len(series), width)
     row_delta = np.array([d for d, _ in rows])
     row_beta = np.array([beta for _, beta in rows])
+    of_delta = np.array(of_delta, dtype=int)
+    delta = np.array(list(deltas))[:, None]
+    log_pi_gamma = math.log(math.pi) + gammaln(1.0 + delta)
     # Columns of the series still going; rows are dropped as series stop.
     live = np.arange(len(series))
-    delta = np.array([[2.0 / s.alpha] for s in series])
     with np.errstate(divide="ignore"):
-        log_ratio = np.log([[s.ratio] for s in series])
-    log_pi_gamma = math.log(math.pi) + gammaln(1.0 + delta)
+        log_ratio = np.log(ratios)
     prev_log_env = np.zeros((len(series), 1))
     terms_of: list[list[float]] = [[] for _ in series]
     fired = [False] * len(series)
@@ -187,11 +198,11 @@ def _series_terms(
     while live.size and start <= cap:
         stop = min(start + size, cap + 1)
         m = np.arange(start, stop, dtype=float)
-        log_gamma = gammaln(1.0 + delta * np.arange(start, stop + 1.0))
-        log_env = m * log_ratio - log_gamma[:, :-1]
+        gamma_rows = gammaln(1.0 + delta * np.arange(start, stop + 1.0))
+        kappa = np.exp(log_pi_gamma + gamma_rows[:, :-1] - gamma_rows[:, 1:])[of_delta]
+        log_env = m * log_ratio - gamma_rows[of_delta, :-1]
         hyper = _hyper_rows(row_delta, row_beta, m)
         tail = (weight[:, :, None] * hyper[row_of]).sum(axis=1)
-        kappa = np.exp(log_pi_gamma + log_gamma[:, :-1] - log_gamma[:, 1:])
         sign = np.where(m % 2.0 == 1.0, -1.0, 1.0)
         with np.errstate(over="ignore"):
             terms = sign * (1.0 - kappa * tail) * np.exp(np.minimum(log_env, limit))
@@ -203,12 +214,15 @@ def _series_terms(
         halted = halt[at, first]
         done = halted & ~over[at, first]
         keep = np.where(halted, first + done, m.size)
-        for j, i in enumerate(live.tolist()):
-            terms_of[i] += terms[j, : keep[j]].tolist()
-            fired[i] = bool(done[j])
+        for i, row, kept, fired_ in zip(live.tolist(), terms.tolist(), keep.tolist(),
+                                        done.tolist()):
+            terms_of[i] += row[:kept]
+            fired[i] = fired_
+        if halted.all():
+            break
         going = ~halted
-        live, delta, log_ratio = live[going], delta[going], log_ratio[going]
-        log_pi_gamma, weight, row_of = log_pi_gamma[going], weight[going], row_of[going]
+        live, of_delta, log_ratio = live[going], of_delta[going], log_ratio[going]
+        weight, row_of = weight[going], row_of[going]
         prev_log_env = log_env[going, -1:]
         start, size = stop, 2 * size
     return [

@@ -109,14 +109,13 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tiers", tuple(self.tiers))
-        if self.access is None:
-            object.__setattr__(
-                self, "access", frozenset(range(1, len(self.tiers) + 1))
-            )
-        else:
-            object.__setattr__(
-                self, "access", frozenset(_tier_index(i) for i in self.access)
-            )
+        access = self.access
+        if access is None:
+            access = frozenset(range(1, len(self.tiers) + 1))
+        elif type(access) is not frozenset or not all(type(i) is int for i in access):
+            # a frozenset of ints, such as another network's access, is kept
+            access = frozenset(_tier_index(i) for i in access)
+        object.__setattr__(self, "access", access)
         _check_network(self)
 
     @property
@@ -154,21 +153,24 @@ def _weight(tier: Tier, alpha: float) -> float:
 
 
 def _check_network(network: Network) -> None:
-    if not math.isfinite(network.alpha) or not network.alpha > 2.0:
+    # A sweep builds a network per point, so this check avoids generators
+    # and calls per tier; access holds ints, which __post_init__ ensures.
+    alpha, tiers, access = network.alpha, network.tiers, network.access
+    if not math.isfinite(alpha) or not alpha > 2.0:
         raise ModelValidationError(
-            f"alpha must be a finite exponent above 2, got {network.alpha}"
+            f"alpha must be a finite exponent above 2, got {alpha}"
         )
-    if network.num_tiers < 1:
+    if not tiers:
         raise ModelValidationError("tiers must contain at least one tier")
-    if not network.access:
+    if not access:
         raise ModelValidationError("access set must not be empty")
-    valid = range(1, network.num_tiers + 1)
-    if not all(i in valid for i in network.access):
+    if min(access) < 1 or max(access) > len(tiers):
         raise ModelValidationError(
-            f"access indices {sorted(network.access)} must be 1-based tier "
-            f"indices up to {network.num_tiers}"
+            f"access indices {sorted(access)} must be 1-based tier "
+            f"indices up to {len(tiers)}"
         )
-    if sum(t.activity * _weight(t, network.alpha) for t in network.tiers) <= 0.0:
+    two_over = 2.0 / alpha
+    if sum([t.activity * (t.density * t.power**two_over) for t in tiers]) <= 0.0:
         raise ModelValidationError(
             "no tier transmits (activity * density * power is zero everywhere); "
             "the interference field would be empty and the SIR model degenerate"

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, output formats and
 byte-level determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,9 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hetcov import (
     Estimate,
@@ -90,6 +93,21 @@ def low_load_scenario(tmp_path):
     )
 
 
+@pytest.fixture
+def near_free_space_scenario(tmp_path):
+    """One tier at alpha 2.01, where b^(-2/alpha) overflows for a subnormal
+    target b."""
+    return write_scenario(
+        tmp_path / "near_free_space.json",
+        {
+            "alpha": 2.01,
+            "tiers": [
+                {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.8}
+            ],
+        },
+    )
+
+
 def run_json(capsys, argv):
     code = cli.main(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -103,6 +121,40 @@ def run_csv(capsys, argv):
     header = body[0].split(",")
     rows = [line.split(",") for line in body[1:]]
     return code, meta, header, rows
+
+
+# one short run of every command
+COMMAND_LINES = {
+    "coverage": ["coverage", "--max-terms", "50", "--epsilon=1e-9"],
+    "simulate": ["simulate", "--trials", "5", "--radius", "2", "--load", "fully-loaded"],
+    "sweep": ["sweep", "--sweep-target", "tier[1].power", "--sweep-values", "1,2",
+              "--engine", "analytic"],
+    "compare": ["compare", "--trials", "5", "--radius", "2", "--seed", "3"],
+    "raster": ["raster", "--resolution", "3", "--radius", "2", "--mode", "full"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
+def test_a_command_line_is_parsed_once(capsys, monkeypatch, loaded_scenario, command):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    code = cli.main([*COMMAND_LINES[command], "--scenario", loaded_scenario])
+    assert (code, capsys.readouterr().err) == (cli.EXIT_OK, "")
+    assert parsed == [f"hetcov {command}"]
+
+
+@pytest.mark.parametrize("command", COMMAND_LINES)
+def test_a_command_gets_the_namespace_of_the_whole_parser(command):
+    argv = [*COMMAND_LINES[command], "--scen", "net.json"]
+    found = vars(cli._parse_args(argv))
+    assert found == vars(cli._build_parser().parse_args(argv))
+    assert found["command"] == command
 
 
 class TestCoverageCommand:
@@ -275,25 +327,66 @@ def test_bad_sweep_values_are_validation_errors(capsys, request, argv):
     assert captured.err.count("\n") == 1
 
 
+# every float, subnormal steps, equal and overflowing spans included
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+COUNTS = st.integers(min_value=1, max_value=40)
+
+
+@given(FLOATS, FLOATS, COUNTS)
+def test_linear_grids_are_numpys(start, stop, count):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(start, stop, count).tolist()
+        found = cli._linspace(start, stop, count).tolist()
+    assert repr(found) == repr(expected)
+
+
+@given(POSITIVE, POSITIVE, COUNTS)
+def test_log_grids_are_numpys(start, stop, count):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.geomspace(start, stop, count).tolist()
+        found = cli._geomspace(start, stop, count).tolist()
+    assert repr(found) == repr(expected)
+
+
+NO_TRANSMITTER = ("no tier transmits (activity * density * power is zero everywhere); "
+                  "the interference field would be empty and the SIR model degenerate")
+USERS = ["--resource-blocks", "10"]
+
+
 @pytest.mark.parametrize(
-    "scenario, target, message",
+    "scenario, target, extra, message",
     [
-        ("loaded_scenario", "tier[1].activity=1,1.5", "activity must lie in [0, 1], got 1.5"),
-        ("loaded_scenario", "tier[2].density=1,-1", "density must be non-negative, got -1.0"),
-        ("loaded_scenario", "tier[1].power=1,0", "power must be positive, got 0.0"),
-        ("full_load_scenario", "tier[1].activity=1,0",
-         "no tier transmits (activity * density * power is zero everywhere); "
-         "the interference field would be empty and the SIR model degenerate"),
+        ("loaded_scenario", "tier[1].activity=1,1.5", [], "activity must lie in [0, 1], got 1.5"),
+        ("loaded_scenario", "tier[2].density=1,-1", [], "density must be non-negative, got -1.0"),
+        ("loaded_scenario", "tier[1].power=1,0", [], "power must be positive, got 0.0"),
+        ("full_load_scenario", "tier[1].activity=1,0", [], NO_TRANSMITTER),
+        ("full_load_scenario", "tier[1].activity=1,0", ["--engine", "mc"], NO_TRANSMITTER),
+        ("loaded_scenario", "target_sir_db=3,-4000", [], "target_sir must be positive, got 0.0"),
+        ("loaded_scenario", "target_sir_db=3,4000", [], "4000.0 dB is beyond the float range"),
+        # every point is checked before any series sum, so the subnormal
+        # first target does not overflow before the second is rejected
+        ("near_free_space_scenario", "target_sir_db=-3200,-4000", [],
+         "target_sir must be positive, got 0.0"),
+        ("split_scenario", "access_fraction=0.5,1", [],
+         "access fractions must lie in [0, 1), got 1.0"),
+        ("loaded_scenario", "user_density=1,0", [*USERS, "--engine", "analytic"], NO_TRANSMITTER),
+        ("loaded_scenario", "user_density=1,0", [*USERS, "--engine", "both"], NO_TRANSMITTER),
+        ("loaded_scenario", "user_density=1,-1", USERS,
+         "user_density must be finite and non-negative, got -1.0"),
     ],
-    ids=["activity-above-1", "negative-density", "zero-power", "no-tier-transmits"],
+    ids=["activity-above-1", "negative-density", "zero-power", "no-tier-transmits",
+         "no-tier-transmits-mc", "target-underflows", "target-overflows",
+         "subnormal-target-then-zero",
+         "access-fraction-1", "no-users", "no-users-both", "negative-users"],
 )
 def test_sweep_points_outside_the_model_domain_name_the_check(
-    capsys, request, scenario, target, message
+    capsys, request, scenario, target, extra, message
 ):
     # the first value is valid, so the point built from the second fails
     target, values = target.split("=")
     argv = ["sweep", "--scenario", request.getfixturevalue(scenario),
-            "--sweep-target", target, f"--sweep-values={values}"]
+            "--sweep-target", target, f"--sweep-values={values}", *extra]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
@@ -455,6 +548,40 @@ def test_out_of_memory_is_one_line_without_traceback(capsys, monkeypatch, loaded
     assert captured.out == ""
     assert captured.err == ("usage error: out of memory: Unable to allocate 26.8 GiB "
                             "for an array with shape (60000, 60000) and data type int64\n")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", "\ufeff{}".encode("utf-16"), b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "utf16", "nested-too-deep"],
+)
+def test_unreadable_scenario_is_a_validation_error(capsys, tmp_path, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    code = cli.main(["coverage", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err.startswith(f"validation error: cannot read scenario {str(path)!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_scenario_path_with_a_nul_byte_is_a_validation_error(capsys):
+    code = cli.main(["coverage", "--scenario", "scenario\0.json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION
+    assert (captured.out, captured.err) == (
+        "", "validation error: cannot read scenario 'scenario\\x00.json': embedded null byte\n")
+
+
+@pytest.mark.parametrize("argv, flag", [(["coverage"], "--out"), (RASTER, "--dump-realization")],
+                         ids=["out", "dump-realization"])
+def test_output_path_with_a_nul_byte_is_a_usage_error(capsys, loaded_scenario, argv, flag):
+    code = cli.main([*argv, "--scenario", loaded_scenario, flag, "out\0.csv"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert (captured.out, captured.err) == (
+        "", "usage error: cannot write 'out\\x00.csv': embedded null byte\n")
 
 
 @pytest.mark.parametrize(

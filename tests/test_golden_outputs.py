@@ -15,6 +15,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +27,8 @@ import scipy
 from hetcov import cli
 
 PINNED = {"numpy": "2.4.6", "scipy": "1.17.1"}
+# argparse's own texts (usage, help, errors) change between Python versions
+PARSER_PINNED = "3.11"
 
 NETS = {
     "two": {
@@ -132,6 +136,59 @@ GOLDEN = {
 }
 
 
+# (argv): the parser's own outputs, with {scenario} standing for the "two"
+# net's scenario path; help is formatted for 80 columns
+PARSER_COMMANDS = {
+    "parse-no-argv": [],
+    "parse-help": ["--help"],
+    "parse-unknown-command": ["bogus", "--scenario", "{scenario}"],
+    "parse-sweep-help": ["sweep", "--help"],
+    "parse-missing-flag": ["sweep", "--scenario", "{scenario}", "--sweep-values", "1"],
+    "parse-unrecognised-flag": ["coverage", "--scenario", "{scenario}", "--bogus", "1"],
+    "parse-abbreviation": ["coverage", "--scen", "{scenario}"],
+    "parse-negative-grid": ["sweep", "--scenario", "{scenario}", "--sweep-target",
+                            "target_sir_db", "--sweep-values", "-3:3:4"],
+}
+
+PARSER_GOLDEN = {
+    "parse-no-argv": "c31035f96e70f39efe6866512af4797861839a1c95ea315fb8b16962648a5aa8",
+    "parse-help": "295bb0cd8022d5e49ede2f557bc209f15d5762bf58a92dd4e532c52696908ee9",
+    "parse-unknown-command": "54b56ade071d5a108e925d8fe375e4f300d476d13c409648445aa2bf8ba9a882",
+    "parse-sweep-help": "be88268b67367313cd01b8fc24f1bdbadb803a0222c78e3d155e47272215d0fa",
+    "parse-missing-flag": "f41006d6095653dd78bab5713272b347281c29d47586a7e0f76fffbc3ef0ef57",
+    "parse-unrecognised-flag": "4091c8fde5d842791734a6dad12f5abac995ce49383a78e98bd944fd786b6641",
+    "parse-abbreviation": "df028b9395ba1ec1f2cae83e3a115bcb3c1267c240813787884e9fbebf0d7632",
+    "parse-negative-grid": "a98a85575b61fc4a4a0cf7a2d4834c811195b9fed9382a70b23cb55916ae9c86",
+}
+
+
+def _run(argv) -> tuple:
+    """(exit code, stdout, stderr) of cli.main(argv); help ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def parser_output_hash(name, directory) -> str:
+    scenario = directory / "two.json"
+    scenario.write_text(json.dumps(NETS["two"]))
+    argv = [a.format(scenario=scenario) for a in PARSER_COMMANDS[name]]
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        found = _run(argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return hashlib.sha256(repr(found).encode()).hexdigest()
+
+
 def output_hash(name, directory) -> str:
     net, argv = COMMANDS[name]
     scenario = directory / f"{net}.json"
@@ -155,8 +212,20 @@ def test_output_is_byte_identical_to_the_pinned_hash(name, tmp_path):
     assert output_hash(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", PARSER_COMMANDS)
+def test_parser_output_is_byte_identical_to_the_pinned_hash(name, tmp_path):
+    found = "{}.{}".format(*sys.version_info[:2])
+    if found != PARSER_PINNED:
+        pytest.skip(f"parser hashes pinned on Python {PARSER_PINNED}, found {found}")
+    assert parser_output_hash(name, tmp_path) == PARSER_GOLDEN[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         lines = [f'    "{name}": "{output_hash(name, Path(tmp))}",' for name in COMMANDS]
+        parsed = [f'    "{name}": "{parser_output_hash(name, Path(tmp))}",'
+                  for name in PARSER_COMMANDS]
     print(f'PINNED = {{"numpy": "{np.__version__}", "scipy": "{scipy.__version__}"}}')
+    print(f'PARSER_PINNED = "{sys.version_info[0]}.{sys.version_info[1]}"')
     print("GOLDEN = {", *lines, "}", sep="\n")
+    print("PARSER_GOLDEN = {", *parsed, "}", sep="\n")

@@ -94,6 +94,21 @@ class TestNetwork:
     def test_integral_float_access_is_an_index(self):
         assert Network(alpha=4.0, tiers=(tier(), tier()), access=[2.0]).access == {2}
 
+    @pytest.mark.parametrize("index", [2, 1.5, "x", None, True, 2.0])
+    def test_a_frozenset_access_is_checked_as_a_list(self, index):
+        # a frozenset of ints is kept as it is; anything else is rebuilt
+        def access_of(container):
+            try:
+                return Network(alpha=4.0, tiers=(tier(),), access=container([index])).access
+            except ModelValidationError as exc:
+                return str(exc)
+
+        assert access_of(frozenset) == access_of(list)
+
+    def test_a_frozenset_of_indices_is_kept(self):
+        access = frozenset({2})
+        assert Network(alpha=4.0, tiers=(tier(), tier()), access=access).access is access
+
     def test_default_access_is_open(self):
         net = Network(alpha=4.0, tiers=(tier(), tier()))
         assert net.is_open_access
