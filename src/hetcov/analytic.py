@@ -21,7 +21,6 @@ needs no such assumption).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -35,6 +34,7 @@ from .model import (
     SeriesControl,
     Tier,
     _series_sums,
+    _warn,
     derived_constants,
     effective_load,
     validation_warnings,
@@ -79,13 +79,10 @@ _FIRST_BLOCK = 32
 
 
 def _warn_low_targets(network: Network) -> None:
-    """Flag targets at or below 0 dB.  Only the two series builders call
-    this, and every public caller builds its series in its own frame, so
-    stacklevel 4 names the caller's line."""
+    """Flag targets at or below 0 dB, at the caller's line."""
     flags = validation_warnings(network)
     if flags:
-        message = "; ".join(flags) + "; the value is returned unclamped"
-        warnings.warn(message, AssumptionWarning, stacklevel=4)
+        _warn("; ".join(flags) + "; the value is returned unclamped", AssumptionWarning)
 
 
 def laplace_interference(network: Network, s: float) -> float:
@@ -398,9 +395,7 @@ def coverage_batch(
     by one kernel call; each result equals coverage() of its network bit for
     bit."""
     control = control or _DEFAULT_CONTROL
-    # map, not a comprehension: on Python 3.10 and 3.11 a comprehension is
-    # a frame of its own, and the assumption flag would name it
-    return _coverage_of(list(map(_network_series, networks)), control)
+    return _coverage_of([_network_series(n) for n in networks], control)
 
 
 def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
@@ -479,10 +474,6 @@ def coverage_single_tier(
     precision.
     """
     tier = Tier(power=power, density=density, target_sir=target_sir, activity=activity)
-    if tier.activity == 0.0:
-        raise ModelValidationError(
-            "single-tier activity of zero leaves no interference field"
-        )
     unit = Network(alpha=alpha, tiers=(replace(tier, power=1.0, density=1.0),))
     return _coverage_of([_equal_target_series(unit)], control or _DEFAULT_CONTROL)[0]
 

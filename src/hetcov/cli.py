@@ -65,6 +65,9 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
 _TIER_TARGET = re.compile(r"^tier\[(\d+)\]\.(density|activity|power|target_sir_db)$")
+# The most float64 values one numpy array holds; np.arange fails past it,
+# or returns an empty array near 2**63.
+_MAX_GRID_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 class _UsageError(Exception):
@@ -148,11 +151,7 @@ def _finite(value):
 
 
 def _cell(value) -> str:
-    if type(value) is float:
-        return repr(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(value) if type(value) is float else str(value)
 
 
 def _metadata(pairs: list[tuple[str, object]]) -> str:
@@ -227,6 +226,9 @@ def _parse_grid(spec: str) -> list[float]:
             raise ModelValidationError(f"cannot parse grid spec {spec!r}") from exc
         if count < 1:
             raise ModelValidationError(f"grid count must be >= 1, got {count}")
+        if count > _MAX_GRID_COUNT:
+            raise ModelValidationError(
+                f"grid count must be at most {_MAX_GRID_COUNT}, got {count}")
         if len(parts) == 4 and (start <= 0 or stop <= 0):
             raise ModelValidationError("log grids need positive endpoints")
         # An infinite endpoint or step yields non-finite points, rejected below.

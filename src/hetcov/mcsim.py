@@ -28,13 +28,11 @@ they are not spread over threads.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelValidationError, Network
+from .model import ModelValidationError, Network, _warn
 
 __all__ = [
     "SimConfig",
@@ -222,8 +220,7 @@ def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
     candidates reaches the interference; a trial without any such candidate
     counts as empty.  A load's stations are the active ones, plus the idle
     ones if it admits idle candidates.  Warns when more than 0.1% of the
-    trials held no candidate station; the warning names the first caller
-    outside this module, however deep the estimator's own calls go."""
+    trials held no candidate station."""
     interference, best, found, stations = run
     trials = len(interference)
     admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
@@ -231,14 +228,8 @@ def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
     covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
     empty = trials - int(np.count_nonzero(hit))
     if empty > 0.001 * trials:
-        frame, level = sys._getframe(), 1
-        while frame is not None and frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"{empty} of {trials} trials had no candidate station "
-            "in the window; enlarge the window or densities",
-            stacklevel=level,
-        )
+        _warn(f"{empty} of {trials} trials had no candidate station "
+              "in the window; enlarge the window or densities", UserWarning)
     mean = covered / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
     return Estimate(
@@ -285,7 +276,12 @@ def _run_radius(sim: SimConfig, sizing, densities) -> float:
 def _disc_radius(densities, min_points: int) -> float:
     """Disc radius placing max(500, min_points) expected points of the
     sparsest positive density inside the window."""
-    sparsest = min(d for d in densities if d > 0.0)
+    positive = [d for d in densities if d > 0.0]
+    if not positive:
+        raise ModelValidationError(
+            f"a default window needs a positive density to size it, "
+            f"got densities {list(densities)}")
+    sparsest = min(positive)
     return math.sqrt(max(500, min_points) / (math.pi * sparsest))
 
 

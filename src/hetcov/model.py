@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 from .specfun import SeriesTolerance, interference_constant, gauss_2f1
@@ -44,6 +47,18 @@ class ModelValidationError(ValueError):
 
 class AssumptionWarning(UserWarning):
     """Inputs lie outside the exactness assumptions of the analytic results."""
+
+
+_PACKAGE_DIR = os.path.dirname(__file__)
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn at the first frame outside this package, however deep the
+    package's own calls go: the one place hetcov raises a warning."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -263,7 +278,12 @@ def _series_sums(
         load = t.activity * t.density * reach
         loads.append(load)
         if i in access:
-            spread = t.target_sir**-two_over
+            try:
+                spread = t.target_sir**-two_over
+            except OverflowError:
+                raise ModelValidationError(
+                    f"tier {i}: target SIR {t.target_sir:g} to the power -2/alpha "
+                    f"overflows at alpha {alpha}") from None
             idles.append((1.0 - t.activity) * weight * spread)
             actives.append(load * spread)
             targets.append(t.target_sir)
@@ -310,16 +330,25 @@ def effective_load(network: Network) -> float:
     return sum(t.activity * w for t, w in zip(network.tiers, weights)) / sum(weights)
 
 
-def user_fraction_per_tier(network: Network) -> tuple[float, ...]:
-    """Fraction of users each tier serves under strongest-signal association."""
+def _association_shares(network: Network) -> tuple[list[float], float]:
+    """Each tier's (P/beta)^(2/alpha) and their density-weighted sum: the
+    association weights of the load model, whose shares set the activities."""
     two_over = 2.0 / network.alpha
-    shares = [
-        t.density * (t.power / t.target_sir) ** two_over for t in network.tiers
-    ]
-    denom = sum(shares)
-    if not denom > 0.0:
+    reach = [(t.power / t.target_sir) ** two_over for t in network.tiers]
+    total = sum(t.density * r for t, r in zip(network.tiers, reach))
+    if not total > 0.0:
         raise ModelValidationError("all tiers have zero association weight")
-    return tuple(s / denom for s in shares)
+    return reach, total
+
+
+def user_fraction_per_tier(network: Network) -> tuple[float, ...]:
+    """Fraction of users each tier serves, density * (P/beta)^(2/alpha) over
+    its sum across the tiers.  That weight ranks the tiers by power over
+    target; estimate_coverage_system associates each user to the station of
+    the largest P^(2/alpha) / d^2, with no target, so the two shares agree
+    only when every tier has the same target SIR."""
+    reach, total = _association_shares(network)
+    return tuple(t.density * r / total for t, r in zip(network.tiers, reach))
 
 
 def activity_from_user_density(
@@ -328,9 +357,9 @@ def activity_from_user_density(
     """Per-tier activity factors induced by a user population.
 
     Each tier's mean per-BS load is the user density times its user share
-    divided by its BS density; spreading that load over the resource blocks
-    and capping at one gives the probability that a BS of the tier transmits
-    in a randomly chosen block.
+    (user_fraction_per_tier) divided by its BS density; spreading that load
+    over the resource blocks and capping at one gives the probability that a
+    BS of the tier transmits in a randomly chosen block.
     """
     if not (math.isfinite(user_density) and user_density >= 0.0):
         raise ModelValidationError(
@@ -340,12 +369,8 @@ def activity_from_user_density(
         raise ModelValidationError(
             f"resource_blocks must be >= 1, got {resource_blocks}"
         )
-    two_over = 2.0 / network.alpha
-    shares = [(t.power / t.target_sir) ** two_over for t in network.tiers]
-    denom = sum(t.density * s for t, s in zip(network.tiers, shares))
-    return tuple(
-        min(1.0, user_density / resource_blocks * s / denom) for s in shares
-    )
+    reach, total = _association_shares(network)
+    return tuple(min(1.0, user_density / resource_blocks * r / total) for r in reach)
 
 
 def split_access_fraction(tier: Tier, fraction: float) -> tuple[Tier, Tier]:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hetcov import (
+    AssumptionWarning,
     Estimate,
     Network,
     SimConfig,
@@ -304,6 +305,10 @@ def test_malformed_scenario_values_are_validation_errors(capsys, tmp_path, doc):
         ["--sweep-target", "series_index", "--sweep-values", "1,2", "--engine", "both"],
         ["--sweep-target", "tier[1].density", "--sweep-values", "1:2"],
         ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:0"],
+        # counts past the float64 values one numpy array holds, 2**63 included
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:100000000000000000000"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:9223372036854775807"],
+        ["--sweep-target", "tier[1].density", "--sweep-values", "1:2:1152921504606846976"],
         ["--sweep-target", "tier[1].density", "--sweep-values", "0:2:3:log"],
         ["--sweep-target", "tier[1].density", "--sweep-values", "1,x"],
         ["--sweep-target", "tier[1].density", "--sweep-values", ","],
@@ -349,6 +354,7 @@ def test_log_grids_are_numpys(start, stop, count):
     assert repr(found) == repr(expected)
 
 
+SUBNORMAL_TARGET = "tier 1: target SIR 9.99989e-321 to the power -2/alpha overflows at alpha 2.01"
 NO_TRANSMITTER = ("no tier transmits (activity * density * power is zero everywhere); "
                   "the interference field would be empty and the SIR model degenerate")
 USERS = ["--resource-blocks", "10"]
@@ -368,6 +374,7 @@ USERS = ["--resource-blocks", "10"]
         # first target does not overflow before the second is rejected
         ("near_free_space_scenario", "target_sir_db=-3200,-4000", [],
          "target_sir must be positive, got 0.0"),
+        ("near_free_space_scenario", "target_sir_db=3,-3200", [], SUBNORMAL_TARGET),
         ("split_scenario", "access_fraction=0.5,1", [],
          "access fractions must lie in [0, 1), got 1.0"),
         ("loaded_scenario", "user_density=1,0", [*USERS, "--engine", "analytic"], NO_TRANSMITTER),
@@ -377,7 +384,7 @@ USERS = ["--resource-blocks", "10"]
     ],
     ids=["activity-above-1", "negative-density", "zero-power", "no-tier-transmits",
          "no-tier-transmits-mc", "target-underflows", "target-overflows",
-         "subnormal-target-then-zero",
+         "subnormal-target-then-zero", "subnormal-target-overflows",
          "access-fraction-1", "no-users", "no-users-both", "negative-users"],
 )
 def test_sweep_points_outside_the_model_domain_name_the_check(
@@ -390,6 +397,51 @@ def test_sweep_points_outside_the_model_domain_name_the_check(
     assert cli.main(argv) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
+
+
+def test_a_subnormal_target_is_a_validation_error(capsys, tmp_path):
+    scenario = write_scenario(tmp_path / "subnormal.json", {
+        "alpha": 2.01,
+        "tiers": [{"power": 1.0, "density": 1.0, "target_sir_db": -3200.0, "activity": 0.8}],
+    })
+    assert cli.main(["coverage", "--scenario", scenario]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"validation error: {SUBNORMAL_TARGET}\n")
+
+
+def test_an_underflowing_association_weight_is_a_validation_error(capsys, tmp_path):
+    # (P / beta)^(2/alpha) underflows to 0, so no tier has a user share
+    scenario = write_scenario(tmp_path / "underflow.json", {
+        "alpha": 2.01,
+        "tiers": [{"power": 1e-300, "density": 1.0, "target_sir_db": 3000.0, "activity": 0.8}],
+    })
+    argv = ["sweep", "--scenario", scenario, "--sweep-target", "user_density",
+            "--sweep-values", "1,2", "--resource-blocks", "5"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "validation error: all tiers have zero association weight\n")
+
+
+@pytest.mark.parametrize(
+    "argv, target_db, density, category",
+    [
+        # _cmd_coverage calls coverage, which builds the series that flags
+        (["coverage"], -3.0, 1.0, AssumptionWarning),
+        # _cmd_simulate calls estimate_coverage, whose estimator counts the
+        # empty trials
+        (["simulate", "--radius", "1", "--trials", "200"], 3.0, 0.05, UserWarning),
+    ],
+    ids=["assumption", "empty-trials"],
+)
+def test_a_warning_two_package_frames_down_names_the_callers_file(
+    recwarn, argv, target_db, density, category
+):
+    network = network_from_dict({"alpha": 4.0, "tiers": [
+        {"power": 1.0, "density": density, "target_sir_db": target_db, "activity": 0.9}]})
+    args = cli._parse_args([*argv, "--scenario", "unread.json"])
+    args.func(network, args)
+    assert [(w.category, w.filename) for w in recwarn] == [(category, __file__)]
 
 
 def _reject_constant(name):
@@ -447,6 +499,20 @@ def test_windows_that_cannot_be_sampled_are_validation_errors(capsys, loaded_sce
     assert captured.err.startswith("validation error: ")
     assert captured.err.count("\n") == 1
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--trials", "10"], ["raster"]], ids=" ".join)
+def test_a_default_window_needs_a_positive_active_density(capsys, tmp_path, argv):
+    # activity * density underflows to 0, so no density sizes the window
+    scenario = write_scenario(tmp_path / "sparse.json", {
+        "alpha": 4.0,
+        "tiers": [{"power": 1e300, "density": 1e-200, "target_sir_db": 3.0,
+                   "activity": 1e-200}],
+    })
+    assert cli.main([*argv, "--scenario", scenario]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "validation error: a default window needs "
+                                            "a positive density to size it, got densities [0.0]\n")
 
 
 @pytest.mark.parametrize(

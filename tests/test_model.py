@@ -1,8 +1,10 @@
 """Model-layer tests: type validation, derived scalars, activity calibration,
 tier splitting and the JSON scenario format."""
 
+import inspect
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,7 @@ from hetcov import (
     validate,
     validation_warnings,
 )
+from hetcov import model
 from helpers import hyp2f1_quadrature, random_network
 
 # Frozen from direct evaluation with the quadrature-backed hypergeometric
@@ -283,6 +286,14 @@ class TestActivityCalibration:
         with pytest.raises(ModelValidationError):
             activity_from_user_density(self.fig5_network(), 1.0, 0)
 
+    def test_an_underflowing_association_weight_is_a_validation_error(self):
+        # (P / beta)^(2/alpha) underflows to 0: both shares raise the one message
+        net = Network(alpha=2.01, tiers=(Tier(1e-300, 1.0, 1e300, 0.8),))
+        with pytest.raises(ModelValidationError, match="^all tiers have zero association weight$"):
+            activity_from_user_density(net, 1.0, 5)
+        with pytest.raises(ModelValidationError, match="^all tiers have zero association weight$"):
+            user_fraction_per_tier(net)
+
 
 class TestSplitAccessFraction:
     def test_full_fraction_empties_the_closed_part(self):
@@ -409,3 +420,14 @@ def test_public_names_stay():
     # a name listed twice would be bound by two star imports, one silently
     assert len(set(hetcov.__all__)) == len(hetcov.__all__)
     assert all(hasattr(hetcov, name) for name in hetcov.__all__)
+
+
+def test_each_rule_has_one_copy():
+    # every warning is raised, and its frame found, in model._warn alone; the
+    # association weight (P / beta)^(2/alpha) is computed in one place
+    sources = {p.name: p.read_text() for p in Path(model.__file__).parent.glob("*.py")}
+    for needle, owner in [("warnings.warn(", model._warn), ("sys._getframe", model._warn),
+                          ("(t.power / t.target_sir)", model._association_shares)]:
+        assert {name: text.count(needle) for name, text in sources.items()
+                if needle in text} == {"model.py": 1}
+        assert needle in inspect.getsource(owner)
