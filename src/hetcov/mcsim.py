@@ -13,16 +13,16 @@ several loads.  An idle station never interferes and counts only through
 the largest idle signal of its tier, so an idle stream stops where no
 further station can raise that signal (the fade is bounded, _FADE_MAX):
 the idle stations past that cutoff are counted, not placed.  The system
-simulation draws one stream per trial, keyed on (seed, trial), so its
-results do not depend on the block width either.  A block's trials are
-its slice of the run's columns, and one reducer pass (_count_covered)
-keeps every trial's state over the run; each (slots, trials) array is
-reduced over the slot axis, so the width sets how many trials each numpy
-call serves (_BLOCK_TRIALS).  A result does not depend on the chunking or
-on the trial count of the run: trial t depends only on (seed, t), and a
-run of n trials is a prefix of any longer run with the same seed.  Blocks
-run one after another in the calling thread; see _BLOCK_TRIALS for why
-they are not spread over threads.
+simulation draws block streams too, its users as arrivals in density
+(estimate_coverage_system); per-trial streams (_trial_rng) serve only
+draw_realization's callers.  A block's trials are its slice of the run's
+columns, and one reducer pass (_count_covered) keeps every trial's state
+over the run; each (slots, trials) array is reduced over the slot axis,
+so the width sets how many trials each numpy call serves (_BLOCK_TRIALS).
+A result follows the seed and _BLOCK_TRIALS, not the chunking or the
+trial count: a run of n trials is a prefix of any longer run with the
+same seed.  Blocks run one after another in the calling thread; see
+_BLOCK_TRIALS for why they are not spread over threads.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def _block_rng(seed: int, block: int, tier: int, stream: int) -> np.random.Generator:
     """Counter-based stream for one stream (0 active, 1 idle) of one tier of
-    one block of _BLOCK_TRIALS trials."""
+    one block of _BLOCK_TRIALS trials; the system simulation keys its
+    streams 0-3 on tier K, one past the last (estimate_coverage_system)."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, block, tier, stream]))
     )
@@ -296,9 +297,15 @@ def default_window_radius(network: Network, min_expected_points: int = 500) -> f
 def sample_ppp(density: float, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson field on the disc: Poisson count, uniform points."""
     n = rng.poisson(_window_points(radius, [density], may_be_empty=True))
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    return _plane(radius * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n))
+
+
+def _plane(radii, angles) -> np.ndarray:
+    """Points at the given radii and angles as an (..., 2) array of x and
+    y: x + iy = r e^(i angle), one complex exp for the cosine and sine."""
+    z = np.exp(1j * angles)
+    z *= radii
+    return z[..., None].view(np.float64)
 
 
 def _hex_sites(
@@ -350,26 +357,6 @@ def sample_hex_grid(
     return np.column_stack((cos_a * x - sin_a * y, sin_a * x + cos_a * y))
 
 
-def _sample_field(
-    network: Network, radius: float, rng: np.random.Generator, placement: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One base-station field on the disc: (positions, 0-based tier index,
-    fading, activity uniforms), drawn tier by tier.  A lattice tier of zero
-    density is empty, as a Poisson tier of zero density is."""
-    positions, tiers, fading, uniforms = [], [], [], []
-    for index, tier in enumerate(network.tiers):
-        if placement == "hex-first-tier" and index == 0 and tier.density > 0.0:
-            pts = sample_hex_grid(tier.density, radius, rng)
-        else:
-            pts = sample_ppp(tier.density, radius, rng)
-        n = len(pts)
-        positions.append(pts)
-        tiers.append(np.full(n, index, dtype=np.int64))
-        fading.append(rng.standard_exponential(n))
-        uniforms.append(rng.random(n))
-    return tuple(np.concatenate(part) for part in (positions, tiers, fading, uniforms))
-
-
 def draw_realization(
     network: Network,
     radius: float,
@@ -380,23 +367,23 @@ def draw_realization(
 
     Each tier is drawn independently, then partitioned into active and idle
     stations with the tier's activity factor; fading marks are unit-mean
-    exponentials, redrawn per station.
+    exponentials, redrawn per station.  A lattice tier of zero density is
+    empty, as a Poisson tier of zero density is.
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     _window_points(radius, [t.density for t in network.tiers])
-    positions, tier, fading, uniforms = _sample_field(network, radius, rng, placement)
-    activity = np.array([t.activity for t in network.tiers])
-    power = np.array([t.power for t in network.tiers])
-    return Realization(
-        positions=positions,
-        tiers=tier + 1,
-        active=uniforms < activity[tier],
-        fading=fading,
-        powers=power[tier],
-        radius=radius,
-        alpha=network.alpha,
-    )
+    parts = []
+    for index, tier in enumerate(network.tiers):
+        if placement == "hex-first-tier" and index == 0 and tier.density > 0.0:
+            pts = sample_hex_grid(tier.density, radius, rng)
+        else:
+            pts = sample_ppp(tier.density, radius, rng)
+        n = len(pts)
+        parts.append((pts, np.full(n, index + 1), rng.standard_exponential(n),
+                      rng.random(n) < tier.activity, np.full(n, tier.power)))
+    positions, tiers, fading, active, powers = map(np.concatenate, zip(*parts))
+    return Realization(positions, tiers, active, fading, powers, radius, network.alpha)
 
 
 def _count_covered(network: Network, trials: int, chunks):
@@ -438,10 +425,12 @@ def _count_covered(network: Network, trials: int, chunks):
         if accessible:
             # signals are non-negative, so zeroing the slots without a
             # station leaves the largest candidate signal; dividing by the
-            # threshold keeps the order
+            # threshold keeps the order; a ratio past the float range is
+            # inf, which clears the target as the exact ratio does
             threshold = tier.delta if active else tier.target_sir
             largest = best[kind, columns]
-            np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
+            with np.errstate(over="ignore"):
+                np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
             found[kind, columns] |= present.any(axis=0)
         if active:
             # carrying the running sum in the first slot sums slot by slot;
@@ -654,11 +643,18 @@ def estimate_coverage_system(
     1).  The typical user at the centre is then tested exactly as in
     estimate_coverage, with per-station activity probabilities.  Activity
     factors are an outcome here, not an input, so the default window is
-    sized from the raw station densities.  Trial t draws from its own
-    (seed, t) stream; trials are tested in blocks of _BLOCK_TRIALS, as in
-    estimate_coverage, in one reducer pass over the run.  Each trial
-    returns its load diagnostics, kept as one row per trial and reduced
-    once after the run, in trial order.
+    sized from the raw station densities.
+
+    Block b draws four streams keyed (seed, b, K, s) for K tiers: s = 0
+    is one nearest-first field of all stations (_poisson_tier), s = 1 its
+    rows' (tier, angle, activity) uniforms, s = 2 the users' arrivals and
+    s = 3 their positions.  A trial's stations and users are prefixes of
+    its column, so a run of n trials is a prefix of any longer run, and
+    results follow _BLOCK_TRIALS, as estimate_coverage's do.  The users of
+    density lambda_u are the rows whose unit-rate arrival is at most
+    pi lambda_u R^2, so those of a smaller density are a prefix of those
+    of a larger one: the active stations nest in lambda_u, and on one seed
+    coverage never rises with it.
     """
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
@@ -666,53 +662,53 @@ def estimate_coverage_system(
     radius = _run_radius(sim, densities, [user_density, *densities])
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
-    inner_sq = (radius / 2.0) ** 2
-    # one row per trial, stored by the block loop from what trial() returns
-    shares, activity_sums = np.empty((2, sim.trials, K))
-    station_counts = np.empty((sim.trials, K), dtype=np.int64)
-
-    def trial(t: int):
-        """Trial t's stations per tier as (r2, fade, active), the tier shares
-        of its inner users (nan without inner users), and its per-tier
-        activity sums and station counts."""
-        rng = _trial_rng(sim.seed, t)
-        positions, tier_idx, fade, uniforms = _sample_field(network, radius, rng, "ppp")
-        users = sample_ppp(user_density, radius, rng)
-        counts_per_tier = np.bincount(tier_idx, minlength=K)
-        cuts = np.cumsum(counts_per_tier)[:-1]
-        # Without stations nobody is served and the trial counts as not
-        # covered; without users every station stays idle.
-        served = np.zeros(len(tier_idx), dtype=np.int64)
-        share = np.full(K, np.nan)
-        if len(tier_idx) and len(users):
-            chosen = _serving_station(users, positions, rank[tier_idx])
-            served = np.bincount(chosen, minlength=len(tier_idx))
-            inner = users[:, 0] ** 2 + users[:, 1] ** 2 <= inner_sq
-            n_inner = int(np.count_nonzero(inner))
-            if n_inner:
-                share = np.bincount(tier_idx[chosen][inner], minlength=K) / n_inner
-        activity = np.minimum(served / resource_blocks, 1.0)
-        r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-        stations = list(zip(*(np.split(a, cuts) for a in (r2, fade, uniforms < activity))))
-        return stations, share, [np.sum(a) for a in np.split(activity, cuts)], counts_per_tier
+    # a station's tier mark falls below these density shares; the last
+    # bound is inf, so rounding never yields tier K
+    bounds = np.cumsum(densities) / sum(densities)
+    bounds[-1] = math.inf
+    # each trial's tier shares of its inner users (nan without inner users)
+    shares = np.full((sim.trials, K), np.nan)
+    activity_sums, station_counts = np.zeros((2, K))
 
     def chunks():
-        # tier k of trial t fills column t, handed over as its active and
-        # its idle stations; the padding of ones keeps every padded signal
-        # finite
-        for first in range(0, sim.trials, _BLOCK_TRIALS):
+        for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
             columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
-            rows = zip(*map(trial, range(first, columns.stop)))
-            drawn, shares[columns], activity_sums[columns], station_counts[columns] = rows
+            trials = columns.stop - first
+            # a chunk holds until the next one is drawn, so copy each
+            r2, fade, present = map(np.concatenate, zip(*(
+                [a.copy() for a in chunk[:3]] for chunk in
+                _poisson_tier(_block_rng(sim.seed, b, K, 0), sum(densities), radius, trials)
+            )))
+            marks = _block_rng(sim.seed, b, K, 1).random((len(r2), _BLOCK_TRIALS, 3))
+            tier = np.searchsorted(bounds, marks[:, :trials, 0], side="right")
+            positions = _plane(np.sqrt(r2), 2.0 * math.pi * marks[:, :trials, 1])
+            users = np.zeros(trials, dtype=np.int64)
+            if user_density > 0.0:
+                rng = _block_rng(sim.seed, b, K, 2)
+                for chunk in _poisson_tier(rng, user_density, radius, trials):
+                    users += np.count_nonzero(chunk[2], axis=0)
+                places = _block_rng(sim.seed, b, K, 3).random((users.max(), _BLOCK_TRIALS, 2))
+            # Without stations nobody is served and the trial counts as not
+            # covered; without users every station stays idle.
+            activity = np.zeros(r2.shape)
+            for i, (n, m) in enumerate(zip(np.count_nonzero(present, axis=0), users)):
+                if not (n and m):
+                    continue
+                u = places[:m, i, 0]
+                points = _plane(radius * np.sqrt(u), 2.0 * math.pi * places[:m, i, 1])
+                chosen = _serving_station(points, positions[:n, i], rank[tier[:n, i]])
+                served = np.bincount(chosen, minlength=n)
+                activity[:n, i] = np.minimum(served / resource_blocks, 1.0)
+                inner = chosen[u <= 0.25]  # within R / 2 of the centre
+                if len(inner):
+                    shares[first + i] = np.bincount(tier[inner, i], minlength=K) / len(inner)
+            active = marks[:, :trials, 2] < activity
             for k in range(K):
-                parts = [d[k] for d in drawn]
-                counts = station_counts[columns, k]
-                present = np.arange(counts.max())[:, None] < counts
-                r2, fade, active = (np.ones(present.shape, dtype=v.dtype) for v in parts[0])
-                for column, values in zip((r2, fade, active), zip(*parts)):
-                    column.T[present.T] = np.concatenate(values)
-                yield columns, k, True, r2, fade, present & active, 0
-                yield columns, k, False, r2, fade, present & ~active, 0
+                mine = present & (tier == k)
+                station_counts[k] += np.count_nonzero(mine)
+                activity_sums[k] += np.sum(activity, where=mine)
+                yield columns, k, True, r2, fade, mine & active, 0
+                yield columns, k, False, r2, fade, mine & ~active, 0
 
     run = _count_covered(network, sim.trials, chunks())
     # the trials with inner users, C-contiguous in trial order: mean and
@@ -721,9 +717,8 @@ def estimate_coverage_system(
     n = max(len(inner), 1)
     frac_mean = inner.sum(axis=0) / n
     frac_err = np.sqrt(np.square(inner - frac_mean).sum(axis=0) / max(n - 1, 1)) / math.sqrt(n)
-    # summed trial after trial (a one-column sum would be pairwise); a tier
-    # without stations has a zero sum
-    mean_activity = activity_sums.cumsum(axis=0)[-1] / np.maximum(station_counts.sum(axis=0), 1)
+    # a tier without stations has a zero sum
+    mean_activity = activity_sums / np.maximum(station_counts, 1)
     bound = _truncation_bound(network, mean_activity, radius, run[0])
     return SystemEstimate(
         **vars(_binomial_estimate(run, "conditional-thinning", radius, bound)),

@@ -98,6 +98,10 @@ class Tier:
             raise ModelValidationError(
                 f"target_sir must be positive, got {self.target_sir}"
             )
+        if not math.isfinite(1.0 / self.target_sir):
+            raise ModelValidationError(
+                f"target_sir must have a finite reciprocal, got {self.target_sir}"
+            )
         if not 0.0 <= self.activity <= 1.0:
             raise ModelValidationError(
                 f"activity must lie in [0, 1], got {self.activity}"
@@ -278,12 +282,7 @@ def _series_sums(
         load = t.activity * t.density * reach
         loads.append(load)
         if i in access:
-            try:
-                spread = t.target_sir**-two_over
-            except OverflowError:
-                raise ModelValidationError(
-                    f"tier {i}: target SIR {t.target_sir:g} to the power -2/alpha "
-                    f"overflows at alpha {alpha}") from None
+            spread = t.target_sir**-two_over
             idles.append((1.0 - t.activity) * weight * spread)
             actives.append(load * spread)
             targets.append(t.target_sir)

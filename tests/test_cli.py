@@ -109,6 +109,20 @@ def near_free_space_scenario(tmp_path):
     )
 
 
+@pytest.fixture
+def alpha_three_scenario(tmp_path):
+    """One tier at alpha 3, where a target of -3070 dB is tiny but normal."""
+    return write_scenario(
+        tmp_path / "alpha_three.json",
+        {
+            "alpha": 3.0,
+            "tiers": [
+                {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.8}
+            ],
+        },
+    )
+
+
 def run_json(capsys, argv):
     code = cli.main(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -354,7 +368,7 @@ def test_log_grids_are_numpys(start, stop, count):
     assert repr(found) == repr(expected)
 
 
-SUBNORMAL_TARGET = "tier 1: target SIR 9.99989e-321 to the power -2/alpha overflows at alpha 2.01"
+SUBNORMAL_TARGET = "target_sir must have a finite reciprocal, got 1e-320"
 NO_TRANSMITTER = ("no tier transmits (activity * density * power is zero everywhere); "
                   "the interference field would be empty and the SIR model degenerate")
 USERS = ["--resource-blocks", "10"]
@@ -370,11 +384,13 @@ USERS = ["--resource-blocks", "10"]
         ("full_load_scenario", "tier[1].activity=1,0", ["--engine", "mc"], NO_TRANSMITTER),
         ("loaded_scenario", "target_sir_db=3,-4000", [], "target_sir must be positive, got 0.0"),
         ("loaded_scenario", "target_sir_db=3,4000", [], "4000.0 dB is beyond the float range"),
-        # every point is checked before any series sum, so the subnormal
-        # first target does not overflow before the second is rejected
-        ("near_free_space_scenario", "target_sir_db=-3200,-4000", [],
+        # every point is checked before any series sum, so the tiny first
+        # target does not reach the series before the second is rejected
+        ("near_free_space_scenario", "target_sir_db=-3070,-4000", [],
          "target_sir must be positive, got 0.0"),
         ("near_free_space_scenario", "target_sir_db=3,-3200", [], SUBNORMAL_TARGET),
+        ("alpha_three_scenario", "target_sir_db=3,-3200", [], SUBNORMAL_TARGET),
+        ("alpha_three_scenario", "target_sir_db=3,-3200", ["--engine", "mc"], SUBNORMAL_TARGET),
         ("split_scenario", "access_fraction=0.5,1", [],
          "access fractions must lie in [0, 1), got 1.0"),
         ("loaded_scenario", "user_density=1,0", [*USERS, "--engine", "analytic"], NO_TRANSMITTER),
@@ -384,7 +400,8 @@ USERS = ["--resource-blocks", "10"]
     ],
     ids=["activity-above-1", "negative-density", "zero-power", "no-tier-transmits",
          "no-tier-transmits-mc", "target-underflows", "target-overflows",
-         "subnormal-target-then-zero", "subnormal-target-overflows",
+         "tiny-target-then-zero", "subnormal-target-overflows",
+         "subnormal-target-alpha-3", "subnormal-target-alpha-3-mc",
          "access-fraction-1", "no-users", "no-users-both", "negative-users"],
 )
 def test_sweep_points_outside_the_model_domain_name_the_check(
@@ -407,6 +424,17 @@ def test_a_subnormal_target_is_a_validation_error(capsys, tmp_path):
     assert cli.main(["coverage", "--scenario", scenario]) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"validation error: {SUBNORMAL_TARGET}\n")
+
+
+def test_a_tiny_normal_target_clears_every_mc_trial_quietly(capsys, alpha_three_scenario):
+    # signal / 1e-307 overflows to inf, which clears the target as the
+    # exact ratio does
+    argv = ["sweep", "--scenario", alpha_three_scenario, "--sweep-target", "target_sir_db",
+            "--sweep-values", "-3070", "--engine", "mc", "--trials", "50", "--seed", "1"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "-3070.0,1.0,0.0"
 
 
 def test_an_underflowing_association_weight_is_a_validation_error(capsys, tmp_path):

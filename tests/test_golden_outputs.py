@@ -120,12 +120,12 @@ GOLDEN = {
     "simulate-hex-fl": "4ead45c3683434a6de57e25f40935ef6f275330e06da2f6a59450b1723c561cf",
     "simulate-hex-io": "e8a4f3c8ca7697af77d8b098f190cff6a7c4bc810dcc1277384eeef9e8fd21d2",
     "simulate-default-window": "aed99902df012985ad18fc4c76d3441a8de307edd0b9d0aa2588064e675782f8",
-    "simulate-system": "3b96ca8e15b1b9052fa10123eaa9ff1527591f878eccd578f49692b4d588c4a3",
-    "simulate-system-window": "cf98aca2b597444020524cc6d11706662dd10abc65d24b403663239f92ffaba0",
+    "simulate-system": "f39d8649b40daa0150231b7a25f6684ca3783ddaf43f389e9924b1775fac1358",
+    "simulate-system-window": "88829e0843b2b45932393b90a1fcd4ac3ba3581522177b3c9514c17181d84342",
     "compare": "13d4558d48ff82db38b953aa3a2635ebaec5a562f6935263bcb1ece1cfd14815",
     "sweep-tier": "79be022938fc7edd4db573e910fc9c818669eadf1b9b640a98ed65ce7b38b4ad",
     "sweep-target": "d449dc0ae2fbc5ffe4f58dbf13f7925d2b4cdcb2bafc80ddb36d5e5ba7614cf1",
-    "sweep-users": "c6caac59d39e23a339c53e44a8ad32458453f73689a519b5208a0698be70aae5",
+    "sweep-users": "35ad9600ca5ab747b07be45622f940fb83ca485dffccf590e2647da0d4364dc1",
     "sweep-access": "f70eb9dd71e5aabc2d308fa18c751e3136c9a4101d258c3f59df25e4abef3cf2",
     "sweep-series": "75e7c0d8c58f74c9af64df2c952e21c57e98a015e02554d6c89fe2ba8b82db4a",
     "sweep-power-3": "73fd73ef4d5bf0ad87eae665ffc064652914754e0ecb7fde3bcb0ace79e10947",

@@ -323,26 +323,15 @@ class TestEstimateCoverageSystem:
         analytic = hc.coverage(loaded).value
         assert abs(est.mean - analytic) < 0.05
 
-    def test_batching_changes_nothing(self, monkeypatch):
-        sim = hc.SimConfig(trials=40, seed=32, window_radius=5.0)
-        batched = hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim)
-        # every block a lone column: the reducer's cumsum branches
-        monkeypatch.setattr(mcsim, "_BLOCK_TRIALS", 1)
-        assert hc.estimate_coverage_system(self.fig5(), 8.0, 10, sim) == batched
-
-    @pytest.mark.parametrize(
-        "trials, seed, user_density, blocks",
-        # 33 leaves a lone trial in the last 16-trial block
-        [(33, 34, 8.0, 10), (70, 35, 15.0, 20), (1, 36, 8.0, 10)],
-    )
-    def test_block_width_changes_nothing(self, monkeypatch, trials, seed, user_density, blocks):
-        # every trial draws its own (seed, t) stream, so the block width
-        # only regroups the columns the reducer sums slot by slot
-        sim = hc.SimConfig(trials=trials, seed=seed, window_radius=5.0)
-        wide = hc.estimate_coverage_system(self.fig5(), user_density, blocks, sim)
-        assert mcsim._BLOCK_TRIALS != 16
-        monkeypatch.setattr(mcsim, "_BLOCK_TRIALS", 16)
-        assert hc.estimate_coverage_system(self.fig5(), user_density, blocks, sim) == wide
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coverage_never_rises_with_the_user_density(self, seed):
+        # the users of a smaller density are a prefix of those of a larger
+        # one, so the active stations only grow along the grid
+        sim = hc.SimConfig(trials=100, seed=seed, window_radius=5.0)
+        grid = [8.0 + 0.2 * i for i in range(6)]
+        means = [hc.estimate_coverage_system(self.fig5(), lu, 10, sim).mean for lu in grid]
+        assert all(a >= b for a, b in zip(means, means[1:]))
+        assert means[0] > means[-1]
 
     def test_empty_windows_count_as_uncovered(self):
         # 2 stations per unit area on a disc of radius 0.15: about 87 % of
@@ -371,24 +360,29 @@ class TestEstimateCoverageSystem:
         assert sum(est.tier_user_fraction) == pytest.approx(1.0, abs=1e-12)
         assert est.tier_user_fraction_stderr == (0.0, 0.0)
 
-    def test_user_fractions_average_only_trials_with_inner_users(self):
+    def test_user_fractions_average_only_trials_with_inner_users(self, monkeypatch):
         # the inner disc of radius 0.3 holds 0.57 expected users, and the
         # window 1.1 expected stations per tier: many trials have no inner
         # user or no station, and drop out of the average
-        net, radius, users_per_area, trials, seed = self.fig5(), 0.6, 2.0, 70, 42
-        sim = hc.SimConfig(trials=trials, seed=seed, window_radius=radius)
+        net, radius, users_per_area, trials = self.fig5(), 0.6, 2.0, 70
+        sim = hc.SimConfig(trials=trials, seed=42, window_radius=radius)
+        tier_of = {r: k for k, r in enumerate(
+            (np.array([t.power for t in net.tiers]) ** (2.0 / net.alpha)).tolist())}
+        serving, rows = mcsim._serving_station, []
+
+        def recording(points, positions, rank):
+            # one call per trial with stations and users: its inner users'
+            # tier shares make the trial's row
+            chosen = serving(points, positions, rank)
+            inner = chosen[points[:, 0] ** 2 + points[:, 1] ** 2 <= (radius / 2.0) ** 2]
+            if len(inner):
+                best = [tier_of[r] for r in rank[inner].tolist()]
+                rows.append(np.bincount(best, minlength=2) / len(inner))
+            return chosen
+
+        monkeypatch.setattr(mcsim, "_serving_station", recording)
         with pytest.warns(UserWarning, match="no candidate"):
             est = hc.estimate_coverage_system(net, users_per_area, 10, sim)
-        rank = np.array([t.power for t in net.tiers]) ** (2.0 / net.alpha)
-        rows = []
-        for t in range(trials):
-            rng = _trial_rng(seed, t)
-            positions, tier_idx, _, _ = mcsim._sample_field(net, radius, rng, "ppp")
-            users = hc.sample_ppp(users_per_area, radius, rng)
-            inner = users[users[:, 0] ** 2 + users[:, 1] ** 2 <= (radius / 2.0) ** 2]
-            if len(positions) and len(inner):
-                best = tier_idx[mcsim._serving_station(inner, positions, rank[tier_idx])]
-                rows.append(np.bincount(best, minlength=2) / len(inner))
         assert 10 < len(rows) < trials - 10
         assert sum(est.tier_user_fraction) == pytest.approx(1.0, abs=1e-12)
         assert est.tier_user_fraction == pytest.approx(np.mean(rows, axis=0), abs=1e-12)
@@ -532,9 +526,9 @@ class TestBlockEngine:
             assert got == (*want, stations)
             np.testing.assert_allclose(run[0], heard, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
-    def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, placement):
-        net = two_tier(p1=0.5, p2=0.3)
+    @pytest.mark.parametrize("estimator", [*mcsim.PLACEMENTS, "system"])
+    def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, estimator):
+        net, fig5 = two_tier(p1=0.5, p2=0.3), TestEstimateCoverageSystem().fig5()
         reducer = mcsim._count_covered
         # per trial of the latest run: stations and in-window interference
         stations, heard, unplaced = [], [], []  # unplaced over all runs
@@ -565,7 +559,10 @@ class TestBlockEngine:
             sim = hc.SimConfig(trials=n, seed=43, window_radius=6.0)
             stations.clear()
             heard.clear()
-            est = hc.estimate_coverage(net, sim, placement=placement)
+            if estimator == "system":
+                est = hc.estimate_coverage_system(fig5, 8.0, 10, sim)
+            else:
+                est = hc.estimate_coverage(net, sim, placement=estimator)
             covered.append(round(est.mean * n))
             assert sum(stations) == round(est.mean_stations_per_trial * n)
             runs.append((list(stations), list(heard)))
@@ -575,7 +572,8 @@ class TestBlockEngine:
         for run_stations, run_heard in runs:
             assert run_stations == runs[-1][0][: len(run_stations)]
             assert run_heard == runs[-1][1][: len(run_heard)]
-        assert sum(unplaced) > 0  # idle stations past the cutoff were counted
+        # idle stations past the cutoff were counted; the system places all
+        assert (sum(unplaced) > 0) == (estimator != "system")
 
     @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
     def test_a_larger_window_holds_every_station_of_a_smaller_one(

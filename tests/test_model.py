@@ -26,7 +26,7 @@ from hetcov import (
     validate,
     validation_warnings,
 )
-from hetcov import model
+from hetcov import mcsim, model
 from helpers import hyp2f1_quadrature, random_network
 
 # Frozen from direct evaluation with the quadrature-backed hypergeometric
@@ -46,6 +46,7 @@ class TestTier:
             (dict(power=-1.0), "power"),
             (dict(density=-0.5), "density"),
             (dict(target_sir=0.0), "target_sir"),
+            (dict(target_sir=1e-320), "target_sir must have a finite reciprocal"),
             (dict(activity=-0.1), "activity"),
             (dict(activity=1.1), "activity"),
             (dict(power=math.inf), "power"),
@@ -431,3 +432,12 @@ def test_each_rule_has_one_copy():
         assert {name: text.count(needle) for name, text in sources.items()
                 if needle in text} == {"model.py": 1}
         assert needle in inspect.getsource(owner)
+    # one stream scheme: every estimator draws block streams, and per-trial
+    # streams serve only draw_realization's callers
+    for needle, owner in [("np.random.Philox", mcsim._trial_rng),
+                          ("np.random.PCG64", mcsim._block_rng)]:
+        assert {name: text.count(needle) for name, text in sources.items()
+                if needle in text} == {"mcsim.py": 1}
+        assert needle in inspect.getsource(owner)
+    system = inspect.getsource(mcsim.estimate_coverage_system)
+    assert "_block_rng(" in system and "_trial_rng(" not in system
