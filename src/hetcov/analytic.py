@@ -147,15 +147,15 @@ def _series_terms(
     Each block computes a run of term indices for all series still going as
     arrays of shape (series x indices), with one row of hypergeometric
     factors per distinct (alpha, target) pair and one row of Gamma factors
-    per distinct alpha.  Without count a series stops
-    at the first index whose term is below epsilon while its envelope
-    ratio^m / Gamma(1 + 2m/alpha) is falling, so a small term inside the
-    rising part (possible when ratio > 1) cannot end the summation early;
-    it also stops before an envelope above exp(_LOG_TERM_LIMIT) and at the
-    term cap.  converged is True only when the rule fired and the rounding
-    error estimate u * sum |t_m| of the alternating sum stays within
-    epsilon.  With count every series yields exactly count terms: no term
-    is below a zero tolerance and no envelope exceeds an infinite limit.
+    per distinct alpha.  Without count a series stops at the first index
+    whose term is below epsilon while its envelope ratio^m / Gamma(1 +
+    2m/alpha) is falling, so a small term inside the rising part (possible
+    when ratio > 1) cannot end the summation early; it also stops before a
+    term that is not finite or whose envelope exceeds exp(_LOG_TERM_LIMIT),
+    and at the term cap.  converged is True only when the rule fired and
+    the rounding error estimate u * sum |t_m| of the alternating sum stays
+    within epsilon.  With count every series yields exactly count terms,
+    finite or not: the tolerance is 0 and the envelope limit infinite.
     """
     from scipy.special import gammaln
 
@@ -203,7 +203,7 @@ def _series_terms(
         sign = np.where(m % 2.0 == 1.0, -1.0, 1.0)
         with np.errstate(over="ignore"):
             terms = sign * (1.0 - kappa * tail) * np.exp(np.minimum(log_env, limit))
-        over = log_env > limit
+        over = (log_env > limit) | (~np.isfinite(terms) & (count is None))
         falling = log_env < np.concatenate((prev_log_env, log_env[:, :-1]), axis=1)
         halt = over | (falling & (np.abs(terms) < epsilon))
         first = halt.argmax(axis=1)
@@ -240,11 +240,14 @@ def _coverage_of(series: list[_Series], control: SeriesControl) -> list[Coverage
             results.append(CoverageResult(base, base, base, 0, 0.0, True))
             continue
         terms, converged = next(pending)
-        value = base - math.fsum(terms)
-        previous = base - math.fsum(terms[:-1])
-        lower, upper = (value, previous) if len(terms) % 2 == 0 else (previous, value)
-        results.append(CoverageResult(value, lower, upper, len(terms), ratio, converged))
+        results.append(CoverageResult(*_bracket(base, terms), len(terms), ratio, converged))
     return results
+
+
+def _bracket(base: float, terms: list[float]) -> tuple[float, float, float]:
+    """base - sum(terms), then the last two partial sums in order."""
+    value = base - math.fsum(terms)
+    return (value, *sorted((value, base - math.fsum(terms[:-1]))))
 
 
 def correction_term(network: Network, m: int) -> float:
@@ -415,7 +418,7 @@ def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
         raise SeriesConvergenceError(
             f"a term of the first {2 * m} overflows (A/eta = {series.ratio:.4g})"
         )
-    return series.base - math.fsum(terms), series.base - math.fsum(terms[:-1])
+    return _bracket(series.base, terms)[1:]
 
 
 def truncation_terms(

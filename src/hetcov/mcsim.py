@@ -15,14 +15,15 @@ further station can raise that signal (the fade is bounded, _FADE_MAX):
 the idle stations past that cutoff are counted, not placed.  The system
 simulation draws block streams too, its users as arrivals in density
 (estimate_coverage_system); per-trial streams (_trial_rng) serve only
-draw_realization's callers.  A block's trials are its slice of the run's
-columns, and one reducer pass (_count_covered) keeps every trial's state
-over the run; each (slots, trials) array is reduced over the slot axis,
-so the width sets how many trials each numpy call serves (_BLOCK_TRIALS).
-A result follows the seed and _BLOCK_TRIALS, not the chunking or the
-trial count: a run of n trials is a prefix of any longer run with the
-same seed.  Blocks run one after another in the calling thread; see
-_BLOCK_TRIALS for why they are not spread over threads.
+draw_realization's callers.  One driver (_count_covered) runs the blocks,
+binding their streams to the seed and the block and keeping every trial's
+state, and an estimator only says what one block holds.  Each (slots,
+trials) array is reduced over the slot axis, so the width sets how many
+trials each numpy call serves (_BLOCK_TRIALS).  A result follows the seed
+and _BLOCK_TRIALS, not the chunking or the trial count: a run of n trials
+is a prefix of any longer run with the same seed.  Blocks run one after
+another in the calling thread; see _BLOCK_TRIALS for why they are not
+spread over threads.
 """
 
 from __future__ import annotations
@@ -386,16 +387,17 @@ def draw_realization(
     return Realization(positions, tiers, active, fading, powers, radius, network.alpha)
 
 
-def _count_covered(network: Network, trials: int, chunks):
+def _count_covered(network: Network, sim: SimConfig, block):
     """The per-trial state of a run laid out as columns: (interference,
     best, found, stations), whatever the load (_binomial_estimate decides
     each load from it).
 
-    chunks yields (columns, tier, active, r2, fade, present, unplaced):
-    columns is the slice of run columns the chunk fills, active says
-    whether the chunk holds active or idle stations, and r2, fade and
-    present are arrays of shape (slots, width of columns): slot j of
-    column i holds a station of that tier in the trial of run column i
+    The package's one loop over blocks: block b fills its slice of the
+    run's columns with the chunks of block(stream, width), width being its
+    trials and stream(k, s) the _block_rng stream keyed (sim.seed, b, k,
+    s).  A chunk (tier, active, r2, fade, present, unplaced) holds active
+    or idle stations of the tier: slot j of column i of the (slots, width)
+    arrays r2, fade and present holds a station in trial i of the block
     where present is set, and padding (finite, with r2 > 0) elsewhere;
     unplaced is 0 or the per-trial numbers of further stations of the
     chunk's kind, counted but not placed.  Per trial of the run the
@@ -403,44 +405,48 @@ def _count_covered(network: Network, trials: int, chunks):
     [active, idle] of best and found, the largest accessible active
     signal / delta and the largest accessible idle signal / target SIR,
     and whether a candidate of that kind was found; and the run's station
-    count per kind, [active, idle].  The interference of a column is
-    summed slot by slot in the order of its chunks, so cutting a chunk's
-    slots into more chunks changes no sum, nor does the order of chunks
-    that fill different columns.
+    count per kind, [active, idle].  A column's state depends on its block
+    alone, and its interference is summed slot by slot in chunk order, so
+    cutting a chunk's slots into more chunks changes no sum.
     """
-    interference = np.zeros(trials)
-    best = np.zeros((2, trials))  # [active, idle]
-    found = np.zeros((2, trials), dtype=bool)
+    interference = np.zeros(sim.trials)
+    best = np.zeros((2, sim.trials))  # [active, idle]
+    found = np.zeros((2, sim.trials), dtype=bool)
     stations = [0, 0]
-    for columns, k, active, r2, fade, present, unplaced in chunks:
-        kind = 0 if active else 1
-        stations[kind] += int(np.count_nonzero(present) + np.sum(unplaced))
-        accessible = k + 1 in network.access
-        if not (active or accessible) or not len(r2):
-            continue
-        tier = network.tiers[k]
-        signal = np.multiply(fade, tier.power)
-        signal *= r2 ** (-network.alpha / 2.0)
-        signal *= present
-        if accessible:
-            # signals are non-negative, so zeroing the slots without a
-            # station leaves the largest candidate signal; dividing by the
-            # threshold keeps the order; a ratio past the float range is
-            # inf, which clears the target as the exact ratio does
-            threshold = tier.delta if active else tier.target_sir
-            largest = best[kind, columns]
-            with np.errstate(over="ignore"):
-                np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
-            found[kind, columns] |= present.any(axis=0)
-        if active:
-            # carrying the running sum in the first slot sums slot by slot;
-            # add.reduce sums a lone column pairwise, so it is accumulated
-            heard = interference[columns]
-            signal[0] += heard
-            if signal.shape[1] > 1:
-                np.add.reduce(signal, axis=0, out=heard)
-            else:
-                heard[:] = np.cumsum(signal, axis=0)[-1]
+    for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
+        columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
+
+        def stream(k: int, s: int) -> np.random.Generator:
+            return _block_rng(sim.seed, b, k, s)
+        for k, active, r2, fade, present, unplaced in block(stream, columns.stop - first):
+            kind = 0 if active else 1
+            stations[kind] += int(np.count_nonzero(present) + np.sum(unplaced))
+            accessible = k + 1 in network.access
+            if not (active or accessible) or not len(r2):
+                continue
+            tier = network.tiers[k]
+            signal = np.multiply(fade, tier.power)
+            signal *= r2 ** (-network.alpha / 2.0)
+            signal *= present
+            if accessible:
+                # signals are non-negative, so zeroing the slots without a
+                # station leaves the largest candidate signal; dividing by the
+                # threshold keeps the order; a ratio past the float range is
+                # inf, which clears the target as the exact ratio does
+                threshold = tier.delta if active else tier.target_sir
+                largest = best[kind, columns]
+                with np.errstate(over="ignore"):
+                    np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
+                found[kind, columns] |= present.any(axis=0)
+            if active:
+                # carrying the running sum in the first slot sums slot by slot;
+                # add.reduce sums a lone column pairwise, so it is accumulated
+                heard = interference[columns]
+                signal[0] += heard
+                if signal.shape[1] > 1:
+                    np.add.reduce(signal, axis=0, out=heard)
+                else:
+                    heard[:] = np.cumsum(signal, axis=0)[-1]
     return interference, best, found, stations
 
 
@@ -548,40 +554,34 @@ def _estimate_loads(
 ) -> list[Estimate]:
     """estimate_coverage for each of several loads from one draw; each
     Estimate equals the one estimate_coverage gives on its load alone,
-    since no stream's key or content depends on the loads requested."""
+    since no stream's key or content depends on the loads requested.
+    block reads tier k's stream s (0 active, 1 idle) as stream(k, s)."""
     densities = [t.density for t in network.tiers]
     radius = _run_radius(sim, [t.activity * t.density for t in network.tiers], densities)
     with_idle = any(load != "fully-loaded" for load in loads)
 
-    def chunks():
-        for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
-            columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
-            trials = columns.stop - first
-            for k, tier in enumerate(network.tiers):
-                if not tier.density > 0.0:
-                    continue
-                idle = with_idle and k + 1 in network.access
-                if placement == "hex-first-tier" and k == 0:
-                    r2, fade, active, present = _lattice_tier(
-                        _block_rng(sim.seed, b, k, 0), tier, radius, trials
-                    )
-                    yield columns, k, True, r2, fade, present & active, 0
-                    if idle:
-                        yield columns, k, False, r2, fade, present & ~active, 0
-                    continue
-                shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
-                for stream, share in enumerate(shares):
-                    if not share > 0.0:
-                        continue
-                    rng = _block_rng(sim.seed, b, k, stream)
+    def block(stream, trials):
+        for k, tier in enumerate(network.tiers):
+            if not tier.density > 0.0:
+                continue
+            idle = with_idle and k + 1 in network.access
+            if placement == "hex-first-tier" and k == 0:
+                r2, fade, active, present = _lattice_tier(stream(k, 0), tier, radius, trials)
+                yield k, True, r2, fade, present & active, 0
+                if idle:
+                    yield k, False, r2, fade, present & ~active, 0
+                continue
+            shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
+            for s, share in enumerate(shares):
+                if share > 0.0:
                     # an idle stream is read only for its largest signal
-                    cutoff = network.alpha if stream else None
+                    cutoff = network.alpha if s else None
                     for chunk in _poisson_tier(
-                        rng, share * tier.density, radius, trials, cutoff
+                        stream(k, s), share * tier.density, radius, trials, cutoff
                     ):
-                        yield (columns, k, stream == 0, *chunk)
+                        yield (k, s == 0, *chunk)
 
-    run = _count_covered(network, sim.trials, chunks())
+    run = _count_covered(network, sim, block)
     bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
     return [_binomial_estimate(run, load, radius, bound) for load in loads]
 
@@ -645,16 +645,16 @@ def estimate_coverage_system(
     factors are an outcome here, not an input, so the default window is
     sized from the raw station densities.
 
-    Block b draws four streams keyed (seed, b, K, s) for K tiers: s = 0
-    is one nearest-first field of all stations (_poisson_tier), s = 1 its
-    rows' (tier, angle, activity) uniforms, s = 2 the users' arrivals and
-    s = 3 their positions.  A trial's stations and users are prefixes of
-    its column, so a run of n trials is a prefix of any longer run, and
-    results follow _BLOCK_TRIALS, as estimate_coverage's do.  The users of
-    density lambda_u are the rows whose unit-rate arrival is at most
-    pi lambda_u R^2, so those of a smaller density are a prefix of those
-    of a larger one: the active stations nest in lambda_u, and on one seed
-    coverage never rises with it.
+    A block reads four streams stream(K, s) for K tiers (_count_covered
+    binds seed and block): s = 0 is one nearest-first field of all stations
+    (_poisson_tier), s = 1 its rows' (tier, angle, activity) uniforms,
+    s = 2 the users' arrivals and s = 3 their positions.  A trial's
+    stations and users are prefixes of its column, so a run of n trials is
+    a prefix of any longer run, and results follow _BLOCK_TRIALS, as
+    estimate_coverage's do.  The users of density lambda_u are the rows
+    whose unit-rate arrival is at most pi lambda_u R^2, so those of a
+    smaller density are a prefix of those of a larger one: the active
+    stations nest in lambda_u, and on one seed coverage never rises with it.
     """
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
@@ -666,54 +666,50 @@ def estimate_coverage_system(
     # bound is inf, so rounding never yields tier K
     bounds = np.cumsum(densities) / sum(densities)
     bounds[-1] = math.inf
-    # each trial's tier shares of its inner users (nan without inner users)
-    shares = np.full((sim.trials, K), np.nan)
+    # the tier shares of the inner users of each trial that has some
+    shares = []
     activity_sums, station_counts = np.zeros((2, K))
 
-    def chunks():
-        for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
-            columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
-            trials = columns.stop - first
-            # a chunk holds until the next one is drawn, so copy each
-            r2, fade, present = map(np.concatenate, zip(*(
-                [a.copy() for a in chunk[:3]] for chunk in
-                _poisson_tier(_block_rng(sim.seed, b, K, 0), sum(densities), radius, trials)
-            )))
-            marks = _block_rng(sim.seed, b, K, 1).random((len(r2), _BLOCK_TRIALS, 3))
-            tier = np.searchsorted(bounds, marks[:, :trials, 0], side="right")
-            positions = _plane(np.sqrt(r2), 2.0 * math.pi * marks[:, :trials, 1])
-            users = np.zeros(trials, dtype=np.int64)
-            if user_density > 0.0:
-                rng = _block_rng(sim.seed, b, K, 2)
-                for chunk in _poisson_tier(rng, user_density, radius, trials):
-                    users += np.count_nonzero(chunk[2], axis=0)
-                places = _block_rng(sim.seed, b, K, 3).random((users.max(), _BLOCK_TRIALS, 2))
-            # Without stations nobody is served and the trial counts as not
-            # covered; without users every station stays idle.
-            activity = np.zeros(r2.shape)
-            for i, (n, m) in enumerate(zip(np.count_nonzero(present, axis=0), users)):
-                if not (n and m):
-                    continue
-                u = places[:m, i, 0]
-                points = _plane(radius * np.sqrt(u), 2.0 * math.pi * places[:m, i, 1])
-                chosen = _serving_station(points, positions[:n, i], rank[tier[:n, i]])
-                served = np.bincount(chosen, minlength=n)
-                activity[:n, i] = np.minimum(served / resource_blocks, 1.0)
-                inner = chosen[u <= 0.25]  # within R / 2 of the centre
-                if len(inner):
-                    shares[first + i] = np.bincount(tier[inner, i], minlength=K) / len(inner)
-            active = marks[:, :trials, 2] < activity
-            for k in range(K):
-                mine = present & (tier == k)
-                station_counts[k] += np.count_nonzero(mine)
-                activity_sums[k] += np.sum(activity, where=mine)
-                yield columns, k, True, r2, fade, mine & active, 0
-                yield columns, k, False, r2, fade, mine & ~active, 0
+    def block(stream, trials):
+        # a chunk holds until the next one is drawn, so copy each
+        r2, fade, present = map(np.concatenate, zip(*(
+            [a.copy() for a in chunk[:3]]
+            for chunk in _poisson_tier(stream(K, 0), sum(densities), radius, trials)
+        )))
+        marks = stream(K, 1).random((len(r2), _BLOCK_TRIALS, 3))
+        tier = np.searchsorted(bounds, marks[:, :trials, 0], side="right")
+        positions = _plane(np.sqrt(r2), 2.0 * math.pi * marks[:, :trials, 1])
+        users = np.zeros(trials, dtype=np.int64)
+        if user_density > 0.0:
+            for chunk in _poisson_tier(stream(K, 2), user_density, radius, trials):
+                users += np.count_nonzero(chunk[2], axis=0)
+            places = stream(K, 3).random((users.max(), _BLOCK_TRIALS, 2))
+        # Without stations nobody is served and the trial counts as not
+        # covered; without users every station stays idle.
+        activity = np.zeros(r2.shape)
+        for i, (n, m) in enumerate(zip(np.count_nonzero(present, axis=0), users)):
+            if not (n and m):
+                continue
+            u = places[:m, i, 0]
+            points = _plane(radius * np.sqrt(u), 2.0 * math.pi * places[:m, i, 1])
+            chosen = _serving_station(points, positions[:n, i], rank[tier[:n, i]])
+            served = np.bincount(chosen, minlength=n)
+            activity[:n, i] = np.minimum(served / resource_blocks, 1.0)
+            inner = chosen[u <= 0.25]  # within R / 2 of the centre
+            if len(inner):
+                shares.append(np.bincount(tier[inner, i], minlength=K) / len(inner))
+        active = marks[:, :trials, 2] < activity
+        for k in range(K):
+            mine = present & (tier == k)
+            station_counts[k] += np.count_nonzero(mine)
+            activity_sums[k] += np.sum(activity, where=mine)
+            yield k, True, r2, fade, mine & active, 0
+            yield k, False, r2, fade, mine & ~active, 0
 
-    run = _count_covered(network, sim.trials, chunks())
+    run = _count_covered(network, sim, block)
     # the trials with inner users, C-contiguous in trial order: mean and
     # ddof=1 standard error as numpy's, 0 with one such trial or none
-    inner = shares[~np.isnan(shares[:, 0])]
+    inner = np.reshape(shares, (-1, K))
     n = max(len(inner), 1)
     frac_mean = inner.sum(axis=0) / n
     frac_err = np.sqrt(np.square(inner - frac_mean).sum(axis=0) / max(n - 1, 1)) / math.sqrt(n)

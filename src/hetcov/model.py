@@ -417,9 +417,9 @@ class CoverageResult:
 
     value is intentionally not clamped to [0, 1]: inputs outside the
     exactness assumptions (targets at or below 0 dB) can push the series
-    value out of range, and hiding that would mask the violation.  When
-    converged is True, lower <= value <= upper and the bracket width is
-    below the requested epsilon.
+    value out of range, and hiding that would mask the violation.  lower
+    <= value <= upper always holds, and when converged is True the bracket
+    width is below the requested epsilon.
     """
 
     value: float

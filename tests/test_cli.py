@@ -2,6 +2,8 @@
 byte-level determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hetcov import (
     AssumptionWarning,
@@ -435,6 +437,78 @@ def test_a_tiny_normal_target_clears_every_mc_trial_quietly(capsys, alpha_three_
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[-1] == "-3070.0,1.0,0.0"
+
+
+def brackets(command, out):
+    """(value, lower, upper) of every analytic result a command printed."""
+    if command == "sweep":
+        rows = [line.split(",")[1:4] for line in out.splitlines() if line[0] != "#"]
+        return [tuple(map(float, row)) for row in rows[1:]]  # after the header
+    report = json.loads(out)
+    return [(report["value"], report["lower"], report["upper"])] if command == "coverage" else []
+
+
+@pytest.mark.parametrize(
+    "db, argv",
+    [
+        (-30, ["coverage"]),
+        (-30, ["compare", "--trials", "50", "--seed", "1"]),
+        (-30, ["sweep", "--sweep-target", "target_sir_db", "--sweep-values", "-30"]),
+        # the terms need not alternate: the parity rule inverted this bracket
+        (-20, ["coverage"]),
+    ],
+    ids=["coverage", "compare", "sweep", "coverage-minus-20-db"],
+)
+def test_a_series_below_0_db_ends_unconverged_without_a_traceback(capsys, tmp_path, db, argv):
+    # below 0 dB the factor 1 - kappa * tail is not bounded by 1, so a term
+    # overflows before its envelope reaches the limit; the sum stops there
+    scenario = write_scenario(tmp_path / "below_0_db.json", {
+        "alpha": 3.0,
+        "tiers": [{"power": 1.0, "density": 1.0, "target_sir_db": db, "activity": 0.5}],
+    })
+    command = argv[0]
+    assert cli.main([command, "--scenario", scenario, *argv[1:]]) == cli.EXIT_NONCONVERGENCE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "sweep":
+        assert captured.err.splitlines()[-1] == (
+            "non-convergence: the series did not converge at target_sir_db = -30.0")
+    else:
+        # coverage and compare report it in their JSON, as for any net
+        report = json.loads(captured.out)
+        report = report["rows"][0] if command == "compare" else report  # conditional thinning
+        assert report["converged"] is False
+    for value, lower, upper in brackets(command, captured.out):
+        assert lower <= value <= upper
+
+
+LEGAL_TIERS = st.lists(
+    st.fixed_dictionaries({
+        "power": st.floats(0.01, 100.0),
+        "density": st.floats(0.01, 10.0),
+        "target_sir_db": st.floats(-40.0, 20.0),
+        "activity": st.floats(0.05, 1.0),
+    }),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=30)
+@given(st.floats(2.1, 6.0), LEGAL_TIERS, st.lists(st.floats(-40.0, 20.0), min_size=1, max_size=3))
+def test_the_series_never_ends_in_a_traceback(tmp_path_factory, alpha, tiers, targets):
+    # every legal net gives a result, converged (exit 0) or flagged (exit
+    # 3), with an ordered bracket; no term past the float range reaches a sum
+    scenario = write_scenario(tmp_path_factory.mktemp("net") / "net.json",
+                              {"alpha": alpha, "tiers": tiers})
+    sweep = ["--sweep-target", "target_sir_db", "--engine", "analytic",
+             "--sweep-values", ",".join(map(repr, targets))]
+    for command, extra in (("coverage", []), ("sweep", sweep)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", scenario, *extra])
+        assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE), err.getvalue()
+        for _, lower, upper in brackets(command, out.getvalue()):
+            assert lower <= upper
 
 
 def test_an_underflowing_association_weight_is_a_validation_error(capsys, tmp_path):

@@ -474,13 +474,16 @@ class TestBlockEngine:
         )
 
     @pytest.mark.parametrize("load", mcsim.LOAD_MODES)
-    def test_column_reducer_matches_the_bincount_reducer(self, load):
+    def test_column_reducer_matches_the_bincount_reducer(self, monkeypatch, load):
         net = self.net()
         rng = np.random.default_rng(51)
         for _ in range(200):
             # two blocks of one run, at columns [0, w1) and [w1, w1 + w2)
-            w1, w2 = (int(w) for w in rng.integers(1, 17, size=2))
+            w1 = int(rng.integers(1, 17))
+            w2 = int(rng.integers(1, w1 + 1))
             trials = w1 + w2
+            monkeypatch.setattr(mcsim, "_BLOCK_TRIALS", w1)
+            sim = hc.SimConfig(trials=trials, seed=int(rng.integers(2**63)))
             blocks = [(slice(0, w1), random_block(rng, net.num_tiers, w1)),
                       (slice(w1, trials), random_block(rng, net.num_tiers, w2))]
             flat = [
@@ -503,21 +506,28 @@ class TestBlockEngine:
             stations += int(unplaced[:, 0].sum())
             if load != "fully-loaded":
                 stations += int(unplaced[:, 1].sum())
+            pending = enumerate(blocks)
 
-            def chunks():
-                # the second block first: the columns, not the order, place
-                # a chunk; each tier as its active and its idle stations,
-                # each cut at a random slot: chunking changes no sum
-                for columns, fields in reversed(blocks):
-                    for k, (r2, fade, active, present) in enumerate(fields):
-                        for is_active, mask in ((True, present & active),
-                                                (False, present & ~active)):
-                            cut = int(rng.integers(0, len(r2) + 1))
-                            yield columns, k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
-                            yield (columns, k, is_active, r2[cut:], fade[cut:], mask[cut:],
-                                   unplaced[k, 1 - is_active, columns])
+            def block(stream, width):
+                # the driver runs the blocks in order, each with its width
+                # and the streams keyed on the seed and its index
+                b, (columns, fields) = next(pending)
+                assert width == columns.stop - columns.start
+                for key in ((0, 0), (2, 1), (net.num_tiers, 3)):
+                    want_rng = mcsim._block_rng(sim.seed, b, *key)
+                    assert stream(*key).random() == want_rng.random()
+                # each tier as its active and its idle stations, each cut at
+                # a random slot: chunking changes no sum
+                for k, (r2, fade, active, present) in enumerate(fields):
+                    for is_active, mask in ((True, present & active),
+                                            (False, present & ~active)):
+                        cut = int(rng.integers(0, len(r2) + 1))
+                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
+                        yield (k, is_active, r2[cut:], fade[cut:], mask[cut:],
+                               unplaced[k, 1 - is_active, columns])
 
-            run = mcsim._count_covered(net, trials, chunks())
+            run = mcsim._count_covered(net, sim, block)
+            assert next(pending, None) is None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # most trials hold no candidate
                 est = mcsim._binomial_estimate(run, load, 1.0, 0.0)
@@ -533,16 +543,19 @@ class TestBlockEngine:
         # per trial of the latest run: stations and in-window interference
         stations, heard, unplaced = [], [], []  # unplaced over all runs
 
-        def counting(network, trials, chunks):
-            per_trial = np.zeros(trials, dtype=np.int64)
+        def counting(network, sim, block):
+            per_trial = []
 
-            def tee():
-                for chunk in chunks:
-                    per_trial[chunk[0]] += np.count_nonzero(chunk[5], axis=0) + chunk[6]
-                    unplaced.append(np.sum(chunk[6]))
+            def tee(stream, width):
+                # a block's chunks, with its stations per trial
+                per_trial.append(np.zeros(width, dtype=np.int64))
+                for chunk in block(stream, width):
+                    per_trial[-1] += np.count_nonzero(chunk[4], axis=0) + chunk[5]
+                    unplaced.append(np.sum(chunk[5]))
                     yield chunk
 
-            result = reducer(network, trials, tee())
+            result = reducer(network, sim, tee)
+            per_trial = np.concatenate(per_trial)
             stations.extend(per_trial.tolist())
             heard.extend(result[0].tolist())
             return result

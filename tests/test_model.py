@@ -4,6 +4,7 @@ tier splitting and the JSON scenario format."""
 import inspect
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -440,4 +441,11 @@ def test_each_rule_has_one_copy():
                 if needle in text} == {"mcsim.py": 1}
         assert needle in inspect.getsource(owner)
     system = inspect.getsource(mcsim.estimate_coverage_system)
-    assert "_block_rng(" in system and "_trial_rng(" not in system
+    assert "_trial_rng(" not in system
+    # one block loop: _count_covered alone walks the blocks and keys their
+    # streams, and each estimator only says what one block holds
+    reducer = inspect.getsource(mcsim._count_covered)
+    for pattern in [r"(?<!def )_block_rng\(", r"range\(0, [^)]*_BLOCK_TRIALS\)"]:
+        assert {name: len(re.findall(pattern, text)) for name, text in sources.items()
+                if re.search(pattern, text)} == {"mcsim.py": 1}
+        assert re.search(pattern, reducer)
