@@ -247,6 +247,8 @@ def _coverage_of(series: list[_Series], control: SeriesControl) -> list[Coverage
 def _bracket(base: float, terms: list[float]) -> tuple[float, float, float]:
     """base - sum(terms), then the last two partial sums in order."""
     value = base - math.fsum(terms)
+    if not terms:  # the first term is not finite, so nothing bounds the sum
+        return value, -math.inf, math.inf
     return (value, *sorted((value, base - math.fsum(terms[:-1]))))
 
 

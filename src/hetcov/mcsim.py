@@ -11,8 +11,8 @@ only the streams it reads: the active stream always, the idle stream of an
 accessible tier only for a load with idle candidates, and one draw serves
 several loads.  An idle station never interferes and counts only through
 the largest idle signal of its tier, so an idle stream stops where no
-further station can raise that signal (the fade is bounded, _FADE_MAX):
-the idle stations past that cutoff are counted, not placed.  The system
+further station can raise that signal (the fade is bounded, _FADE_MAX),
+and a run reports its stations per trial as their expectation.  The system
 simulation draws block streams too, its users as arrivals in density
 (estimate_coverage_system); per-trial streams (_trial_rng) serve only
 draw_realization's callers.  One driver (_count_covered) runs the blocks,
@@ -119,13 +119,11 @@ class SimConfig:
 class Estimate:
     """Monte Carlo mean with its binomial standard error, the radius of the
     window the trials were sampled on, the number of trials that held no
-    candidate station, the mean number of stations in a trial's window
-    that the load reads, and the mean interference from outside the window
-    as a fraction of the median per-trial interference sampled inside it.
-
-    The station count includes the idle stations past an idle stream's
-    cutoff, which are counted, not placed (_poisson_tier).  Every
-    estimator returns one, the system simulation as a SystemEstimate."""
+    candidate station, the expected stations per trial of the streams the
+    load reads (pi R^2 times their summed densities, not a sample mean),
+    and the mean interference from outside the window as a fraction of the
+    median per-trial interference sampled inside it.  Every estimator
+    returns one, the system simulation as a SystemEstimate."""
 
     mean: float
     stderr: float
@@ -213,23 +211,29 @@ def _truncation_bound(
     return math.inf if outside > 0.0 else 0.0
 
 
-def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
+def _binomial_estimate(
+    network: Network, run, load: str, radius: float, bound: float, stations
+) -> Estimate:
     """The estimate of one load from a run's per-trial state (_count_covered).
 
     A load covers the centre user when a candidate it admits (see
     estimate_coverage) clears its tier target, signal >= threshold *
     interference, that is when the largest signal / threshold over those
     candidates reaches the interference; a trial without any such candidate
-    counts as empty.  A load's stations are the active ones, plus the idle
+    counts as empty.  stations holds the expected [active, idle] stations
+    per trial the run read; a load reads the active ones, plus the idle
     ones if it admits idle candidates.  Warns when more than 0.1% of the
-    trials held no candidate station."""
-    interference, best, found, stations = run
+    trials held no candidate, unless the load has no candidate density on
+    the access tiers, so that no window can hold one."""
+    interference, best, found = run
     trials = len(interference)
     admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
     hit = found[admits].any(axis=0)
     covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
     empty = trials - int(np.count_nonzero(hit))
-    if empty > 0.001 * trials:
+    candidates = sum(t.density * (t.activity * admits[0] + (1.0 - t.activity) * admits[1])
+                     for k, t in enumerate(network.tiers) if k + 1 in network.access)
+    if empty > 0.001 * trials and candidates > 0.0:
         _warn(f"{empty} of {trials} trials had no candidate station "
               "in the window; enlarge the window or densities", UserWarning)
     mean = covered / trials
@@ -240,7 +244,7 @@ def _binomial_estimate(run, load: str, radius: float, bound: float) -> Estimate:
         trials=trials,
         window_radius=radius,
         empty_trials=empty,
-        mean_stations_per_trial=(stations[0] + stations[1] * admits[1]) / trials,
+        mean_stations_per_trial=stations[0] + stations[1] * admits[1],
         truncated_interference_bound=bound,
     )
 
@@ -389,38 +393,34 @@ def draw_realization(
 
 def _count_covered(network: Network, sim: SimConfig, block):
     """The per-trial state of a run laid out as columns: (interference,
-    best, found, stations), whatever the load (_binomial_estimate decides
-    each load from it).
+    best, found), whatever the load (_binomial_estimate decides each load
+    from it).
 
     The package's one loop over blocks: block b fills its slice of the
     run's columns with the chunks of block(stream, width), width being its
     trials and stream(k, s) the _block_rng stream keyed (sim.seed, b, k,
-    s).  A chunk (tier, active, r2, fade, present, unplaced) holds active
-    or idle stations of the tier: slot j of column i of the (slots, width)
-    arrays r2, fade and present holds a station in trial i of the block
-    where present is set, and padding (finite, with r2 > 0) elsewhere;
-    unplaced is 0 or the per-trial numbers of further stations of the
-    chunk's kind, counted but not placed.  Per trial of the run the
-    reducer keeps the interference of the active stations; in rows
-    [active, idle] of best and found, the largest accessible active
-    signal / delta and the largest accessible idle signal / target SIR,
-    and whether a candidate of that kind was found; and the run's station
-    count per kind, [active, idle].  A column's state depends on its block
-    alone, and its interference is summed slot by slot in chunk order, so
-    cutting a chunk's slots into more chunks changes no sum.
+    s).  A chunk (tier, active, r2, fade, present) holds active or idle
+    stations of the tier: slot j of column i of the (slots, width) arrays
+    r2, fade and present holds a station in trial i of the block where
+    present is set, and padding (finite, with r2 > 0) elsewhere.  Per
+    trial of the run the reducer keeps the interference of the active
+    stations and, in rows [active, idle] of best and found, the largest
+    accessible active signal / delta and the largest accessible idle
+    signal / target SIR, and whether a candidate of that kind was found.
+    A column's state depends on its block alone, and its interference is
+    summed slot by slot in chunk order, so cutting a chunk's slots into
+    more chunks changes no sum.
     """
     interference = np.zeros(sim.trials)
     best = np.zeros((2, sim.trials))  # [active, idle]
     found = np.zeros((2, sim.trials), dtype=bool)
-    stations = [0, 0]
     for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
         columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
 
         def stream(k: int, s: int) -> np.random.Generator:
             return _block_rng(sim.seed, b, k, s)
-        for k, active, r2, fade, present, unplaced in block(stream, columns.stop - first):
+        for k, active, r2, fade, present in block(stream, columns.stop - first):
             kind = 0 if active else 1
-            stations[kind] += int(np.count_nonzero(present) + np.sum(unplaced))
             accessible = k + 1 in network.access
             if not (active or accessible) or not len(r2):
                 continue
@@ -447,16 +447,15 @@ def _count_covered(network: Network, sim: SimConfig, block):
                     np.add.reduce(signal, axis=0, out=heard)
                 else:
                     heard[:] = np.cumsum(signal, axis=0)[-1]
-    return interference, best, found, stations
+    return interference, best, found
 
 
 def _poisson_tier(
     rng: np.random.Generator, density: float, radius: float, trials: int,
     alpha: float | None = None,
 ):
-    """Chunks (r2, fade, present, unplaced) of a Poisson field of the given
-    density for the first `trials` columns of a block, nearest station
-    first.
+    """Chunks (r2, fade, present) of a Poisson field of the given density
+    for the first `trials` columns of a block, nearest station first.
 
     Slot j of trial i reads row (j, i) of the block's (slots,
     _BLOCK_TRIALS, 2) uniforms: an exponential gap of unit-rate arrivals
@@ -470,38 +469,34 @@ def _poisson_tier(
     Without alpha (an active stream, read in full) rows are drawn in
     chunks of at most _POINT_BUDGET stations, about three standard
     deviations past the mean count, and on until every trial has left the
-    window; unplaced is 0.
+    window.
 
     With alpha (an idle stream, read only for its largest signal) rows are
-    drawn in steps of _IDLE_STEP for all _BLOCK_TRIALS columns, so that
-    when the stream stops does not depend on the number of trials.  A
-    fade is at most _FADE_MAX, so a station beyond r2 can beat a column's
-    largest fade * r2^(-alpha/2) so far only while _FADE_MAX *
-    r2^(-alpha/2) exceeds it; the stream stops after the first step whose
-    last row leaves no column such a chance inside the window.  Arrivals
-    being memoryless, the in-window stations past the last arrival G of
-    a column are then Poisson(pi * density * radius^2 - G) in number:
-    their counts are drawn from the same generator for all columns, and
-    the last chunk's unplaced holds those of the first `trials`.
+    drawn in steps of _IDLE_STEP.  A fade is at most _FADE_MAX, so a
+    station beyond r2 can beat a column's largest fade * r2^(-alpha/2) so
+    far only while _FADE_MAX * r2^(-alpha/2) exceeds it; the stream stops
+    after the first step whose last row leaves none of the `trials`
+    columns such a chance inside the window.  The rows past that point
+    cannot raise any column's largest signal, so where the stream stops
+    decides nothing, and a partial block may stop before the full one.
     """
     mean = math.pi * density * radius * radius
     if alpha is None:
-        columns, margin = trials, math.ceil(3.0 * math.sqrt(mean)) + 1
+        margin = math.ceil(3.0 * math.sqrt(mean)) + 1
         most, target = max(1, _POINT_BUDGET // _BLOCK_TRIALS), math.ceil(mean) + margin
     else:
-        columns, margin = _BLOCK_TRIALS, _IDLE_STEP
-        most = target = _IDLE_STEP
-        largest = np.zeros(columns)
+        margin = most = target = _IDLE_STEP
+        largest = np.zeros(trials)
     drawn = 0
     size = min(most, target)  # no later chunk is larger than the first
     rows = np.empty((size, _BLOCK_TRIALS, 2))
     # row 0 carries the running sum of the previous chunk
-    arrival = np.zeros((size + 1, columns))
-    r2, fade = np.empty((size, columns)), np.empty((size, columns))
-    present = np.empty((size, columns), dtype=bool)
+    arrival = np.zeros((size + 1, trials))
+    r2, fade = np.empty((size, trials)), np.empty((size, trials))
+    present = np.empty((size, trials), dtype=bool)
     while True:
         count = min(most, target - drawn)
-        uniforms = rng.random(out=rows[:count])[:, :columns]
+        uniforms = rng.random(out=rows[:count])[:, :trials]
         head, chunk = arrival[: count + 1], arrival[1 : count + 1]
         for out, column in ((chunk, 0), (fade[:count], 1)):  # -log(1 - u)
             np.negative(uniforms[:, :, column], out=out)
@@ -512,18 +507,14 @@ def _poisson_tier(
         np.divide(chunk, math.pi * density, out=r2[:count])
         np.less_equal(chunk, mean, out=present[:count])
         if alpha is None:
-            done, unplaced = not present[count - 1].any(), 0
+            done = not present[count - 1].any()
         else:
             decay = r2[:count] ** (-alpha / 2.0)
             gain = decay * fade[:count]
             gain *= present[:count]
             np.maximum(largest, gain.max(axis=0), out=largest)
             done = not (present[count - 1] & (_FADE_MAX * decay[-1] > largest)).any()
-            if done:  # drawn for every column, whatever the trials
-                unplaced = rng.poisson(np.maximum(mean - head[count], 0.0))[:trials]
-            else:
-                unplaced = 0
-        yield r2[:count, :trials], fade[:count, :trials], present[:count, :trials], unplaced
+        yield r2[:count], fade[:count], present[:count]
         if done:
             return
         head[0] = head[count]
@@ -567,9 +558,9 @@ def _estimate_loads(
             idle = with_idle and k + 1 in network.access
             if placement == "hex-first-tier" and k == 0:
                 r2, fade, active, present = _lattice_tier(stream(k, 0), tier, radius, trials)
-                yield k, True, r2, fade, present & active, 0
+                yield k, True, r2, fade, present & active
                 if idle:
-                    yield k, False, r2, fade, present & ~active, 0
+                    yield k, False, r2, fade, present & ~active
                 continue
             shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
             for s, share in enumerate(shares):
@@ -583,7 +574,12 @@ def _estimate_loads(
 
     run = _count_covered(network, sim, block)
     bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
-    return [_binomial_estimate(run, load, radius, bound) for load in loads]
+    # a lattice tier holds as many sites per trial on average as a Poisson one
+    area = math.pi * radius * radius
+    stations = [area * sum(t.activity * t.density for t in network.tiers),
+                area * sum((1.0 - t.activity) * t.density
+                           for k, t in enumerate(network.tiers) if k + 1 in network.access)]
+    return [_binomial_estimate(network, run, load, radius, bound, stations) for load in loads]
 
 
 def estimate_coverage(
@@ -616,10 +612,9 @@ def estimate_coverage(
     candidates, and no key depends on the load or the access set, so the
     fully-loaded estimate never exceeds the conditional-thinning one with
     the same seed, nor closed access open access.  An idle stream stops at
-    its exact cutoff and counts the idle stations beyond it, which cannot
-    change a decision.  "hex-first-tier" draws
-    its lattice with its marks (_lattice_tier).  A tier of zero density is
-    empty in both placements.
+    its exact cutoff, past which no station can change a decision.
+    "hex-first-tier" draws its lattice with its marks (_lattice_tier).  A
+    tier of zero density is empty in both placements.
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
@@ -673,7 +668,7 @@ def estimate_coverage_system(
     def block(stream, trials):
         # a chunk holds until the next one is drawn, so copy each
         r2, fade, present = map(np.concatenate, zip(*(
-            [a.copy() for a in chunk[:3]]
+            [a.copy() for a in chunk]
             for chunk in _poisson_tier(stream(K, 0), sum(densities), radius, trials)
         )))
         marks = stream(K, 1).random((len(r2), _BLOCK_TRIALS, 3))
@@ -703,8 +698,8 @@ def estimate_coverage_system(
             mine = present & (tier == k)
             station_counts[k] += np.count_nonzero(mine)
             activity_sums[k] += np.sum(activity, where=mine)
-            yield k, True, r2, fade, mine & active, 0
-            yield k, False, r2, fade, mine & ~active, 0
+            yield k, True, r2, fade, mine & active
+            yield k, False, r2, fade, mine & ~active
 
     run = _count_covered(network, sim, block)
     # the trials with inner users, C-contiguous in trial order: mean and
@@ -717,7 +712,8 @@ def estimate_coverage_system(
     mean_activity = activity_sums / np.maximum(station_counts, 1)
     bound = _truncation_bound(network, mean_activity, radius, run[0])
     return SystemEstimate(
-        **vars(_binomial_estimate(run, "conditional-thinning", radius, bound)),
+        **vars(_binomial_estimate(network, run, "conditional-thinning", radius, bound,
+                                  [math.pi * radius * radius * sum(densities), 0.0])),
         tier_user_fraction=tuple(float(v) for v in frac_mean),
         tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
         tier_mean_activity=tuple(float(v) for v in mean_activity),

@@ -456,8 +456,12 @@ def brackets(command, out):
         (-30, ["sweep", "--sweep-target", "target_sir_db", "--sweep-values", "-30"]),
         # the terms need not alternate: the parity rule inverted this bracket
         (-20, ["coverage"]),
+        # the first term is not finite: a sum of no terms bounds nothing
+        (-3070, ["coverage"]),
+        (-3070, ["sweep", "--sweep-target", "target_sir_db", "--sweep-values", "3,-3070"]),
     ],
-    ids=["coverage", "compare", "sweep", "coverage-minus-20-db"],
+    ids=["coverage", "compare", "sweep", "coverage-minus-20-db", "coverage-no-term",
+         "sweep-no-term"],
 )
 def test_a_series_below_0_db_ends_unconverged_without_a_traceback(capsys, tmp_path, db, argv):
     # below 0 dB the factor 1 - kappa * tail is not bounded by 1, so a term
@@ -472,13 +476,18 @@ def test_a_series_below_0_db_ends_unconverged_without_a_traceback(capsys, tmp_pa
     assert "Traceback" not in captured.err
     if command == "sweep":
         assert captured.err.splitlines()[-1] == (
-            "non-convergence: the series did not converge at target_sir_db = -30.0")
+            f"non-convergence: the series did not converge at target_sir_db = {float(db)}")
     else:
         # coverage and compare report it in their JSON, as for any net
         report = json.loads(captured.out)
         report = report["rows"][0] if command == "compare" else report  # conditional thinning
         assert report["converged"] is False
-    for value, lower, upper in brackets(command, captured.out):
+    found = brackets(command, captured.out)
+    if db == -3070:
+        # no term was summed, so the last bracket is unbounded: null in JSON
+        *found, (_, lower, upper) = found
+        assert (lower, upper) == ((None, None) if command == "coverage" else (-math.inf, math.inf))
+    for value, lower, upper in found:
         assert lower <= value <= upper
 
 
@@ -699,6 +708,52 @@ def test_other_warning_categories_keep_the_callers_filters(monkeypatch, loaded_s
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
             cli.main(["coverage", "--scenario", loaded_scenario])
+
+
+# every station transmits, so no load has an idle candidate
+FULL_TWO_TIERS = {
+    "alpha": 3.8,
+    "tiers": [
+        {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 1.0},
+        {"power": 0.01, "density": 2.0, "target_sir_db": 3.0, "activity": 1.0},
+    ],
+}
+# the one access tier never transmits, so no load has an active candidate
+SILENT_ACCESS = {
+    "alpha": 3.8,
+    "tiers": [
+        {"power": 1.0, "density": 1.0, "target_sir_db": 3.0, "activity": 0.0},
+        {"power": 0.5, "density": 4.0, "target_sir_db": 3.0, "activity": 1.0},
+    ],
+    "access": [1],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, load",
+    [
+        (FULL_TWO_TIERS, ["compare"], "idle-only"),
+        (FULL_TWO_TIERS, ["simulate", "--load", "idle-only"], "idle-only"),
+        (SILENT_ACCESS, ["compare"], "fully-loaded"),
+        (SILENT_ACCESS, ["simulate", "--load", "fully-loaded"], "fully-loaded"),
+    ],
+    ids=["compare-full", "simulate-full", "compare-silent-access", "simulate-silent-access"],
+)
+def test_a_load_without_candidate_density_reads_0_without_a_window_warning(
+    capsys, tmp_path, doc, argv, load
+):
+    # every trial is empty, and no window could give it a candidate
+    scenario = write_scenario(tmp_path / "net.json", doc)
+    argv = [*argv, "--scenario", scenario, "--trials", "200", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning:" not in captured.err
+    report = json.loads(captured.out)
+    if argv[0] == "compare":
+        row = next(r for r in report["rows"] if r["model"] == load)
+        assert (row["mc_mean"], row["analytic"]) == (0.0, 0.0)
+    else:
+        assert (report["mean"], report["empty_trials"]) == (0.0, 200)
 
 
 RASTER = ["raster", "--resolution", "4", "--radius", "3"]

@@ -113,15 +113,15 @@ COMMANDS = {
 
 GOLDEN = {
     "coverage": "f485a3dab36163b7b23ce553e8f4cd2daa874dcdaf9dc5e1480c11cafcca9a28",
-    "simulate-ppp-ct": "74f1238243541d8abf7b9bdecf35ea4d4b14e464223d44f9415539007691995e",
-    "simulate-ppp-fl": "e18203c6a67f296e73697c14f89c343b9308cecd1b1c17293ae2b9a7e28b32f1",
-    "simulate-ppp-io": "3dc1c247bed70a343b1a7b2c3e228499e6c7650034c3f4c820097de69245934e",
-    "simulate-hex-ct": "4497df8e2b7af60654bdad55e7326927d9bfe879377c755a1e1fe827aeb424ee",
-    "simulate-hex-fl": "4ead45c3683434a6de57e25f40935ef6f275330e06da2f6a59450b1723c561cf",
-    "simulate-hex-io": "e8a4f3c8ca7697af77d8b098f190cff6a7c4bc810dcc1277384eeef9e8fd21d2",
-    "simulate-default-window": "aed99902df012985ad18fc4c76d3441a8de307edd0b9d0aa2588064e675782f8",
-    "simulate-system": "f39d8649b40daa0150231b7a25f6684ca3783ddaf43f389e9924b1775fac1358",
-    "simulate-system-window": "88829e0843b2b45932393b90a1fcd4ac3ba3581522177b3c9514c17181d84342",
+    "simulate-ppp-ct": "e560dab97dd9f0d2a5eb923efaa54e7235aee9ac681a2c1af9b2ca5f01817dd8",
+    "simulate-ppp-fl": "099c7f6ae1c39011b70d773387a2d7e77125376d24290792b34eadcc117de327",
+    "simulate-ppp-io": "66bb8231869a8e6e30f3ecfe7de0bff07b0f66ed092055f2f3a2c8a76538bf1f",
+    "simulate-hex-ct": "0b3afb69a273a8d6c5dfc199bc34f8b7bcd3e506d26307718c7805c3eafc6f27",
+    "simulate-hex-fl": "60bc017a7f024a79be60f21c04f5ece77336b101fbf5526c84053d564bf2695d",
+    "simulate-hex-io": "c4e6023a36a0dce6e4e9edf96d1d472dfb62e0378f3d388e07837ea270255aa7",
+    "simulate-default-window": "1ba469a8e341f90e68c2766173bc1bbf1e4742ae0dcd42fa60f24134d8cf6a28",
+    "simulate-system": "c641f35c0281452c53458073fb6f143e91a931854df13382affef913f293ae9d",
+    "simulate-system-window": "8de1030e58038b2d5f97980b3ffd6188a52f71e75cd59ee2d58b3cee14491118",
     "compare": "13d4558d48ff82db38b953aa3a2635ebaec5a562f6935263bcb1ece1cfd14815",
     "sweep-tier": "79be022938fc7edd4db573e910fc9c818669eadf1b9b640a98ed65ce7b38b4ad",
     "sweep-target": "d449dc0ae2fbc5ffe4f58dbf13f7925d2b4cdcb2bafc80ddb36d5e5ba7614cf1",

@@ -498,14 +498,7 @@ class TestBlockEngine:
                 np.array(c, dtype=d) for c, d in zip(records, (float, int, float, bool, int))
             )
             want = bincount_count_covered(net, load, r2, tier_idx, fade, act, trial_idx, trials)
-            # a fully-loaded estimate counts the active stations only
-            stations = int(np.count_nonzero(act)) if load == "fully-loaded" else len(flat)
             heard = bincount_interference(net, r2, tier_idx, fade, act, trial_idx, trials)
-            # stations counted but not placed add to the count, not the test
-            unplaced = rng.integers(0, 3, size=(net.num_tiers, 2, trials))
-            stations += int(unplaced[:, 0].sum())
-            if load != "fully-loaded":
-                stations += int(unplaced[:, 1].sum())
             pending = enumerate(blocks)
 
             def block(stream, width):
@@ -522,71 +515,50 @@ class TestBlockEngine:
                     for is_active, mask in ((True, present & active),
                                             (False, present & ~active)):
                         cut = int(rng.integers(0, len(r2) + 1))
-                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut], 0
-                        yield (k, is_active, r2[cut:], fade[cut:], mask[cut:],
-                               unplaced[k, 1 - is_active, columns])
+                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut]
+                        yield k, is_active, r2[cut:], fade[cut:], mask[cut:]
 
             run = mcsim._count_covered(net, sim, block)
             assert next(pending, None) is None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # most trials hold no candidate
-                est = mcsim._binomial_estimate(run, load, 1.0, 0.0)
-            got = (round(est.mean * trials), est.empty_trials,
-                   round(est.mean_stations_per_trial * trials))
-            assert got == (*want, stations)
+                est = mcsim._binomial_estimate(net, run, load, 1.0, 0.0, [0.0, 0.0])
+            assert (round(est.mean * trials), est.empty_trials) == want
             np.testing.assert_allclose(run[0], heard, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("estimator", [*mcsim.PLACEMENTS, "system"])
     def test_a_run_is_a_prefix_of_any_longer_run(self, monkeypatch, estimator):
         net, fig5 = two_tier(p1=0.5, p2=0.3), TestEstimateCoverageSystem().fig5()
         reducer = mcsim._count_covered
-        # per trial of the latest run: stations and in-window interference
-        stations, heard, unplaced = [], [], []  # unplaced over all runs
+        states = []  # each run's (interference, best, found) columns
 
-        def counting(network, sim, block):
-            per_trial = []
+        def tee(network, sim, block):
+            states.append(reducer(network, sim, block))
+            return states[-1]
 
-            def tee(stream, width):
-                # a block's chunks, with its stations per trial
-                per_trial.append(np.zeros(width, dtype=np.int64))
-                for chunk in block(stream, width):
-                    per_trial[-1] += np.count_nonzero(chunk[4], axis=0) + chunk[5]
-                    unplaced.append(np.sum(chunk[5]))
-                    yield chunk
-
-            result = reducer(network, sim, tee)
-            per_trial = np.concatenate(per_trial)
-            stations.extend(per_trial.tolist())
-            heard.extend(result[0].tolist())
-            return result
-
-        monkeypatch.setattr(mcsim, "_count_covered", counting)
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
         # runs that end one short of, at and one past two block boundaries,
         # a lone trial (a block of one column) and the benchmark's counts
         width = mcsim._BLOCK_TRIALS
         ns = sorted({1, 2, 40, 41, 120, 121, width - 1, width, width + 1,
                      2 * width - 1, 2 * width, 2 * width + 1})
-        covered, runs = [], []
+        covered, stations = [], set()
         for n in ns:
             # the idle streams hold ~60 and ~160 stations, past their cutoffs
             sim = hc.SimConfig(trials=n, seed=43, window_radius=6.0)
-            stations.clear()
-            heard.clear()
             if estimator == "system":
                 est = hc.estimate_coverage_system(fig5, 8.0, 10, sim)
             else:
                 est = hc.estimate_coverage(net, sim, placement=estimator)
             covered.append(round(est.mean * n))
-            assert sum(stations) == round(est.mean_stations_per_trial * n)
-            runs.append((list(stations), list(heard)))
+            stations.add(est.mean_stations_per_trial)
         for more, fewer, n, m in zip(covered[1:], covered, ns[1:], ns):
             assert 0 <= more - fewer <= n - m
         assert 0 < covered[-1] < ns[-1]
-        for run_stations, run_heard in runs:
-            assert run_stations == runs[-1][0][: len(run_stations)]
-            assert run_heard == runs[-1][1][: len(run_heard)]
-        # idle stations past the cutoff were counted; the system places all
-        assert (sum(unplaced) > 0) == (estimator != "system")
+        assert len(states) == len(ns) and len(stations) == 1
+        for state, n in zip(states, ns):
+            for got, longest in zip(state, states[-1]):
+                np.testing.assert_array_equal(got, longest[..., :n])
 
     @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
     def test_a_larger_window_holds_every_station_of_a_smaller_one(
@@ -616,6 +588,42 @@ class TestBlockEngine:
             np.testing.assert_array_equal(large_r2[:n, i], small_r2[:n, i])
             np.testing.assert_array_equal(large_fade[:n, i], small_fade[:n, i])
             assert small_r2[:n, i].max() <= 9.0 < large_r2[n, i]
+
+    @pytest.mark.parametrize("alpha", [None, 3.8], ids=["active", "idle-uncut"])
+    def test_a_stream_places_its_poisson_count(self, monkeypatch, alpha):
+        # the estimates report the expected station count, so the sampler's
+        # own count is checked here: the in-window slots of a column are
+        # Poisson(pi * density * radius^2); an idle stream read in full
+        # places them all
+        monkeypatch.setattr(mcsim, "_FADE_MAX", math.inf)
+        width, mean = mcsim._BLOCK_TRIALS, 200.0
+        counts = np.concatenate([
+            sum(np.count_nonzero(present, axis=0) for _, _, present in mcsim._poisson_tier(
+                mcsim._block_rng(10, b, 0, 0 if alpha is None else 1), 1.0,
+                math.sqrt(mean / math.pi), width, alpha))
+            for b in range(16)
+        ])
+        assert abs(counts.mean() - mean) < 5.0 * math.sqrt(mean / len(counts))
+
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    @pytest.mark.parametrize("access", [None, [1]], ids=["open", "closed"])
+    def test_the_station_count_is_the_expectation_of_the_streams_read(self, placement, access):
+        net = hc.Network(
+            alpha=3.8, tiers=(hc.Tier(1.0, 1.0, 2.0, 0.7), hc.Tier(0.05, 3.0, 1.5, 0.4)),
+            access=access,
+        )
+        sim = hc.SimConfig(trials=70, seed=49)
+        for load in mcsim.LOAD_MODES:
+            est = hc.estimate_coverage(net, sim, placement, load)
+            # every active station, and the idle ones of accessible tiers for
+            # a load with idle candidates
+            densities = [t.density if load != "fully-loaded" and k + 1 in net.access
+                         else t.activity * t.density for k, t in enumerate(net.tiers)]
+            expected = math.pi * est.window_radius**2 * sum(densities)
+            assert math.isclose(est.mean_stations_per_trial, expected, rel_tol=1e-12)
+        system = hc.estimate_coverage_system(net, 2.0, 10, hc.SimConfig(trials=3, seed=49))
+        expected = math.pi * system.window_radius**2 * sum(t.density for t in net.tiers)
+        assert math.isclose(system.mean_stations_per_trial, expected, rel_tol=1e-12)
 
     def test_estimates_report_empty_trials_and_stations(self):
         net = single_tier(density=0.05, activity=0.9)
@@ -747,31 +755,25 @@ class TestIdleCutoff:
         self, monkeypatch, alpha, step
     ):
         # windows of ~2,000 idle stations: the cut stream places a fraction
-        # of them, keeps each column's largest fade * r2^(-alpha/2) and counts
-        # the rest; steps of one row stop right at the cutoff
+        # of them and keeps each column's largest fade * r2^(-alpha/2); steps
+        # of one row stop right at the cutoff
         monkeypatch.setattr(mcsim, "_IDLE_STEP", step)
         density, radius, blocks = 1.0, math.sqrt(2000.0 / math.pi), 16
 
         def stream(block, trials):
-            largest = np.zeros(trials)
-            placed, counted = 0, np.zeros(trials, dtype=np.int64)
+            largest, placed = np.zeros(trials), 0
             rng = mcsim._block_rng(9, block, 1, 1)
-            for r2, fade, present, unplaced in mcsim._poisson_tier(
-                rng, density, radius, trials, alpha
-            ):
+            for r2, fade, present in mcsim._poisson_tier(rng, density, radius, trials, alpha):
                 gain = fade * r2 ** (-alpha / 2.0) * present
                 np.maximum(largest, gain.max(axis=0), out=largest)
                 placed += len(r2)
-                counted += np.count_nonzero(present, axis=0) + unplaced
-            return largest, placed, counted
+            return largest, placed
 
         width = mcsim._BLOCK_TRIALS
-        cut, placed, counted = zip(*(stream(b, width) for b in range(blocks)))
+        cut, placed = zip(*(stream(b, width) for b in range(blocks)))
         assert max(placed) < 1000
-        counted = np.concatenate(counted)
-        assert abs(counted.mean() - 2000.0) < 5.0 * math.sqrt(2000.0 / len(counted))
-        # a partial block stops where the full block stops
-        np.testing.assert_array_equal(stream(0, 5)[2], counted[:5])
+        # a partial block may stop sooner, with the full block's largest signals
+        np.testing.assert_array_equal(stream(0, 5)[0], cut[0][:5])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcsim, "_FADE_MAX", math.inf)  # nothing is cut
             patch.setattr(mcsim, "_IDLE_STEP", 512)

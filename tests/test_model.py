@@ -449,3 +449,8 @@ def test_each_rule_has_one_copy():
         assert {name: len(re.findall(pattern, text)) for name, text in sources.items()
                 if re.search(pattern, text)} == {"mcsim.py": 1}
         assert re.search(pattern, reducer)
+    # stations are counted by their density: the one Poisson count drawn is
+    # the size of a public sampler's field
+    assert {name: text.count(".poisson(") for name, text in sources.items()
+            if ".poisson(" in text} == {"mcsim.py": 1}
+    assert ".poisson(" in inspect.getsource(mcsim.sample_ppp)
