@@ -17,13 +17,13 @@ simulation draws block streams too, its users as arrivals in density
 (estimate_coverage_system); per-trial streams (_trial_rng) serve only
 draw_realization's callers.  One driver (_count_covered) runs the blocks,
 binding their streams to the seed and the block and keeping every trial's
-state, and an estimator only says what one block holds.  Each (slots,
-trials) array is reduced over the slot axis, so the width sets how many
-trials each numpy call serves (_BLOCK_TRIALS).  A result follows the seed
-and _BLOCK_TRIALS, not the chunking or the trial count: a run of n trials
-is a prefix of any longer run with the same seed.  Blocks run one after
-another in the calling thread; see _BLOCK_TRIALS for why they are not
-spread over threads.
+state, the largest signal per kind and tier, and an estimator only says
+what one block holds.  The targets, the access set and the load rule enter
+only after the blocks, in the decision step (_binomial_estimate).  Each
+(slots, trials) array is reduced over the slot axis, so the width sets how
+many trials each numpy call serves (_BLOCK_TRIALS).  A result follows the
+seed and _BLOCK_TRIALS, not the chunking or the trial count: a run of n
+trials is a prefix of any longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -214,26 +214,33 @@ def _truncation_bound(
 def _binomial_estimate(
     network: Network, run, load: str, radius: float, bound: float, stations
 ) -> Estimate:
-    """The estimate of one load from a run's per-trial state (_count_covered).
+    """The decision step: one load's estimate from a run's per-trial state
+    (_count_covered), the one place where targets, access and load enter.
 
     A load covers the centre user when a candidate it admits (see
-    estimate_coverage) clears its tier target, signal >= threshold *
-    interference, that is when the largest signal / threshold over those
-    candidates reaches the interference; a trial without any such candidate
-    counts as empty.  stations holds the expected [active, idle] stations
-    per trial the run read; a load reads the active ones, plus the idle
-    ones if it admits idle candidates.  Warns when more than 0.1% of the
-    trials held no candidate, unless the load has no candidate density on
-    the access tiers, so that no window can hold one."""
+    estimate_coverage) on an access tier clears its tier target, signal >=
+    threshold * interference (delta if active, target_sir if idle), that is
+    when the largest signal / threshold over those (kind, tier) rows reaches
+    the interference, as dividing keeps the order; a trial without any such
+    candidate counts as empty.  stations holds the expected [active, idle]
+    stations per trial the run read; a load reads the active ones, plus the
+    idle ones if it admits idle candidates.  Warns when more than 0.1% of
+    the trials held no candidate, unless the load has no candidate density
+    on the access tiers, so that no window can hold one."""
     interference, best, found = run
     trials = len(interference)
     admits = [load != "idle-only", load != "fully-loaded"]  # [active, idle]
-    hit = found[admits].any(axis=0)
-    covered = int(np.count_nonzero(hit & (best[admits].max(axis=0) >= interference)))
+    keep = np.outer(admits, [k + 1 in network.access for k in range(network.num_tiers)])
+    thresholds = np.array([[t.delta for t in network.tiers],
+                           [t.target_sir for t in network.tiers]])
+    with np.errstate(over="ignore"):  # an inf ratio clears, as the exact one does
+        largest = (best[keep] / thresholds[keep][:, None]).max(axis=0)
+    hit = found[keep].any(axis=0)
+    covered = int(np.count_nonzero(hit & (largest >= interference)))
     empty = trials - int(np.count_nonzero(hit))
-    candidates = sum(t.density * (t.activity * admits[0] + (1.0 - t.activity) * admits[1])
-                     for k, t in enumerate(network.tiers) if k + 1 in network.access)
-    if empty > 0.001 * trials and candidates > 0.0:
+    candidates = np.array([[t.activity * t.density for t in network.tiers],
+                           [(1.0 - t.activity) * t.density for t in network.tiers]])
+    if empty > 0.001 * trials and candidates[keep].sum() > 0.0:
         _warn(f"{empty} of {trials} trials had no candidate station "
               "in the window; enlarge the window or densities", UserWarning)
     mean = covered / trials
@@ -393,8 +400,8 @@ def draw_realization(
 
 def _count_covered(network: Network, sim: SimConfig, block):
     """The per-trial state of a run laid out as columns: (interference,
-    best, found), whatever the load (_binomial_estimate decides each load
-    from it).
+    best, found), for any targets, candidate tiers or load: these enter
+    only in the decision step (_binomial_estimate).
 
     The package's one loop over blocks: block b fills its slice of the
     run's columns with the chunks of block(stream, width), width being its
@@ -404,40 +411,32 @@ def _count_covered(network: Network, sim: SimConfig, block):
     r2, fade and present holds a station in trial i of the block where
     present is set, and padding (finite, with r2 > 0) elsewhere.  Per
     trial of the run the reducer keeps the interference of the active
-    stations and, in rows [active, idle] of best and found, the largest
-    accessible active signal / delta and the largest accessible idle
-    signal / target SIR, and whether a candidate of that kind was found.
-    A column's state depends on its block alone, and its interference is
-    summed slot by slot in chunk order, so cutting a chunk's slots into
-    more chunks changes no sum.
+    stations and, at [kind, tier] of best and found (kind 0 active, 1 idle),
+    the largest signal of the tier's stations of that kind and whether it
+    had one.  A column's state depends on its block alone, and its
+    interference is summed slot by slot in chunk order, so cutting a
+    chunk's slots into more chunks changes no sum.
     """
     interference = np.zeros(sim.trials)
-    best = np.zeros((2, sim.trials))  # [active, idle]
-    found = np.zeros((2, sim.trials), dtype=bool)
+    best = np.zeros((2, network.num_tiers, sim.trials))  # [active, idle]
+    found = np.zeros(best.shape, dtype=bool)
     for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
         columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
 
         def stream(k: int, s: int) -> np.random.Generator:
             return _block_rng(sim.seed, b, k, s)
         for k, active, r2, fade, present in block(stream, columns.stop - first):
-            kind = 0 if active else 1
-            accessible = k + 1 in network.access
-            if not (active or accessible) or not len(r2):
+            if not len(r2):
                 continue
-            tier = network.tiers[k]
-            signal = np.multiply(fade, tier.power)
+            signal = np.multiply(fade, network.tiers[k].power)
             signal *= r2 ** (-network.alpha / 2.0)
             signal *= present
-            if accessible:
-                # signals are non-negative, so zeroing the slots without a
-                # station leaves the largest candidate signal; dividing by the
-                # threshold keeps the order; a ratio past the float range is
-                # inf, which clears the target as the exact ratio does
-                threshold = tier.delta if active else tier.target_sir
-                largest = best[kind, columns]
-                with np.errstate(over="ignore"):
-                    np.maximum(largest, signal.max(axis=0) / threshold, out=largest)
-                found[kind, columns] |= present.any(axis=0)
+            # signals are non-negative, so zeroing the slots without a
+            # station leaves the largest signal
+            kind = 0 if active else 1
+            largest = best[kind, k, columns]
+            np.maximum(largest, signal.max(axis=0), out=largest)
+            found[kind, k, columns] |= present.any(axis=0)
             if active:
                 # carrying the running sum in the first slot sums slot by slot;
                 # add.reduce sums a lone column pairwise, so it is accumulated
@@ -699,7 +698,8 @@ def estimate_coverage_system(
             station_counts[k] += np.count_nonzero(mine)
             activity_sums[k] += np.sum(activity, where=mine)
             yield k, True, r2, fade, mine & active
-            yield k, False, r2, fade, mine & ~active
+            if k + 1 in network.access:
+                yield k, False, r2, fade, mine & ~active
 
     run = _count_covered(network, sim, block)
     # the trials with inner users, C-contiguous in trial order: mean and

@@ -249,7 +249,6 @@ def test_c10_detailed_system_simulation():
            f" (|diff| per point: {', '.join(details)})")
 
 
-@pytest.mark.slow
 def test_c11_closed_versus_open():
     rng = random.Random(31)
     ok = True

@@ -560,6 +560,62 @@ class TestBlockEngine:
             for got, longest in zip(state, states[-1]):
                 np.testing.assert_array_equal(got, longest[..., :n])
 
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    def test_one_run_is_decided_for_any_targets_and_access(self, monkeypatch, placement):
+        reducer, runs = mcsim._count_covered, []
+
+        def tee(network, sim, block):
+            runs.append(reducer(network, sim, block))
+            return runs[-1]
+
+        def retarget(network, factors, access):
+            return hc.Network(alpha=network.alpha, access=access, tiers=tuple(
+                hc.Tier(t.power, t.density, t.target_sir * f, t.activity)
+                for t, f in zip(network.tiers, factors)))
+
+        def covered(network, run, load):
+            # the decision step on each trial alone: 1 covered, 0 not
+            return np.array([mcsim._binomial_estimate(
+                network, [a[..., i:i + 1] for a in run], load, 1.0, 0.0, [0.0, 0.0]
+            ).mean for i in range(len(run[0]))]) == 1.0
+
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
+        rng = np.random.default_rng(59)
+        base = hc.Network(alpha=3.6, tiers=(
+            hc.Tier(1.0, 1.0, 1.5, 0.6), hc.Tier(0.1, 3.0, 0.8, 0.4), hc.Tier(0.02, 0.5, 2.0, 0.7)))
+        # two blocks, the second one part full
+        sim = hc.SimConfig(trials=mcsim._BLOCK_TRIALS + 36, seed=61)
+        lost = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # single trials without a candidate
+            for access in (None, [1, 3]):
+                net = retarget(base, [1.0] * 3, access)
+                estimates = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+                run = runs[-1]
+                for load, est in zip(mcsim.LOAD_MODES, estimates):
+                    # a raised target covers no trial the lower one leaves
+                    # uncovered, trial by trial
+                    low = covered(net, run, load)
+                    assert np.count_nonzero(low) == round(est.mean * sim.trials)
+                    for _ in range(2):
+                        high = covered(retarget(net, rng.uniform(1.0, 4.0, 3), access), run, load)
+                        assert not (high & ~low).any()
+                        lost += np.count_nonzero(low & ~high)
+                if access is not None:
+                    continue
+                # no stream key depends on access, so the open run decided for
+                # fewer tiers is the run of the closed net
+                for narrower in ([1], [2, 3]):
+                    closed = retarget(base, [1.0] * 3, narrower)
+                    for load, est in zip(mcsim.LOAD_MODES, estimates):
+                        got = mcsim._binomial_estimate(
+                            closed, run, load, est.window_radius,
+                            est.truncated_interference_bound, [0.0, 0.0])
+                        want = hc.estimate_coverage(closed, sim, placement, load)
+                        assert ((got.mean, got.stderr, got.empty_trials)
+                                == (want.mean, want.stderr, want.empty_trials))
+        assert lost > 0
+
     @pytest.mark.parametrize("stream, density", [(0, 0.8), (1, 1.2)])
     def test_a_larger_window_holds_every_station_of_a_smaller_one(
         self, monkeypatch, stream, density

@@ -449,6 +449,12 @@ def test_each_rule_has_one_copy():
         assert {name: len(re.findall(pattern, text)) for name, text in sources.items()
                 if re.search(pattern, text)} == {"mcsim.py": 1}
         assert re.search(pattern, reducer)
+    # one decision step: the reducer keeps raw signals, and a run meets the
+    # targets and the access set only where it is decided
+    decision = inspect.getsource(mcsim._binomial_estimate)
+    for needle in (".delta", ".target_sir"):
+        assert sources["mcsim.py"].count(needle) == decision.count(needle) == 1
+    assert not re.search(r"delta|target_sir|access", reducer)
     # stations are counted by their density: the one Poisson count drawn is
     # the size of a public sampler's field
     assert {name: text.count(".poisson(") for name, text in sources.items()
