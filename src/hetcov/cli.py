@@ -38,7 +38,6 @@ from .mcsim import (
     RASTER_MODES,
     SimConfig,
     _estimate_loads,
-    _trial_rng,
     coverage_region_raster,
     default_window_radius,
     draw_realization,
@@ -474,8 +473,7 @@ def _cmd_sweep(network, args) -> tuple[str, int, str]:
 
 def _cmd_raster(network, args) -> tuple[str, int, str]:
     radius = args.radius or default_window_radius(network, args.min_points)
-    rng = _trial_rng(args.seed, 0)
-    realization = draw_realization(network, radius, rng, placement=args.placement)
+    realization = draw_realization(network, radius, args.seed, placement=args.placement)
     grid = coverage_region_raster(realization, args.resolution, args.mode)
     if args.dump_realization:
         field = io.StringIO()

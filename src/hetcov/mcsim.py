@@ -14,8 +14,8 @@ the largest idle signal of its tier, so an idle stream stops where no
 further station can raise that signal (the fade is bounded, _FADE_MAX),
 and a run reports its stations per trial as their expectation.  The system
 simulation draws block streams too, its users as arrivals in density
-(estimate_coverage_system); per-trial streams (_trial_rng) serve only
-draw_realization's callers.  One driver (_count_covered) runs the blocks,
+(estimate_coverage_system), and draw_realization renders trial 0 of its
+field (_station_field).  One driver (_count_covered) runs the blocks,
 binding their streams to the seed and the block and keeping every trial's
 state, the largest signal per kind and tier, and an estimator only says
 what one block holds.  The targets, the access set and the load rule enter
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -152,14 +153,10 @@ class SystemEstimate(Estimate):
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """One sampled base-station field with marks.
-
-    positions is an (n, 2) array; tiers holds 1-based tier indices; active
-    marks are drawn independently per tier with that tier's activity factor;
-    fading holds the unit-mean exponential draws.  Each station's relative
-    transmit power and the path-loss exponent ride along so the field
-    renders standalone.
-    """
+    """One marked base-station field (draw_realization): an (n, 2) array of
+    positions, 1-based tiers, and each station's activity, unit-mean
+    exponential fade and relative transmit power, with the path-loss
+    exponent, so that the field renders standalone."""
 
     positions: np.ndarray
     tiers: np.ndarray
@@ -171,12 +168,6 @@ class Realization:
 
     def __len__(self) -> int:
         return len(self.tiers)
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based substream for one trial; order-independent by design."""
-    key = np.array([seed & _UINT64_MASK, trial & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _block_rng(seed: int, block: int, tier: int, stream: int) -> np.random.Generator:
@@ -370,32 +361,31 @@ def sample_hex_grid(
 
 
 def draw_realization(
-    network: Network,
-    radius: float,
-    rng: np.random.Generator,
-    placement: str = "ppp",
+    network: Network, radius: float, rng: int | np.random.Generator, placement: str = "ppp"
 ) -> Realization:
-    """Sample one marked base-station field on the disc.
-
-    Each tier is drawn independently, then partitioned into active and idle
-    stations with the tier's activity factor; fading marks are unit-mean
-    exponentials, redrawn per station.  A lattice tier of zero density is
-    empty, as a Poisson tier of zero density is.
-    """
+    """Trial 0 of a run's marked base-station field on the disc: that of
+    estimate_coverage_system with seed rng (or one drawn from a Generator)
+    and this radius, nearest first (_station_field), a station being active
+    when its activity mark lies below its tier's activity.  "hex-first-tier"
+    puts first, in place of the field's first tier, the lattice and marks of
+    trial 0 of estimate_coverage with that placement (_lattice_tier)."""
     if placement not in PLACEMENTS:
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
-    _window_points(radius, [t.density for t in network.tiers])
-    parts = []
-    for index, tier in enumerate(network.tiers):
-        if placement == "hex-first-tier" and index == 0 and tier.density > 0.0:
-            pts = sample_hex_grid(tier.density, radius, rng)
-        else:
-            pts = sample_ppp(tier.density, radius, rng)
-        n = len(pts)
-        parts.append((pts, np.full(n, index + 1), rng.standard_exponential(n),
-                      rng.random(n) < tier.activity, np.full(n, tier.power)))
-    positions, tiers, fading, active, powers = map(np.concatenate, zip(*parts))
-    return Realization(positions, tiers, active, fading, powers, radius, network.alpha)
+    densities = [t.density for t in network.tiers]
+    _window_points(radius, densities)
+    if isinstance(rng, np.random.Generator):
+        rng = rng.integers(_UINT64_MASK, dtype=np.uint64, endpoint=True)
+    stream = partial(_block_rng, SimConfig(trials=1, seed=int(rng)).seed, 0)
+    _, fade, present, tier, positions, mark = _station_field(stream, densities, radius, 1)
+    field = [positions, tier, fade, mark < np.array([t.activity for t in network.tiers])[tier]]
+    if placement == "hex-first-tier" and densities[0] > 0.0:
+        x, y, _, *marks, sites = _lattice_tier(stream(0, 0), network.tiers[0], radius, 1)
+        present = np.concatenate((sites, present & (tier != 0)))
+        lattice = [np.stack((x, y), axis=-1), np.zeros_like(tier, shape=sites.shape), *marks]
+        field = [np.concatenate(pair) for pair in zip(lattice, field)]
+    positions, tier, fading, active = (a[present] for a in field)
+    powers = np.array([t.power for t in network.tiers])[tier]
+    return Realization(positions, tier + 1, active, fading, powers, radius, network.alpha)
 
 
 def _count_covered(network: Network, sim: SimConfig, block):
@@ -422,9 +412,7 @@ def _count_covered(network: Network, sim: SimConfig, block):
     found = np.zeros(best.shape, dtype=bool)
     for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
         columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
-
-        def stream(k: int, s: int) -> np.random.Generator:
-            return _block_rng(sim.seed, b, k, s)
+        stream = partial(_block_rng, sim.seed, b)
         for k, active, r2, fade, present in block(stream, columns.stop - first):
             if not len(r2):
                 continue
@@ -523,7 +511,7 @@ def _poisson_tier(
 
 
 def _lattice_tier(rng: np.random.Generator, tier, radius: float, trials: int):
-    """(r2, fade, active, present) of a hexagonal tier for the first
+    """(x, y, r2, fade, active, present) of a hexagonal tier for the first
     `trials` columns of a block: the block draws _BLOCK_TRIALS lattice
     offsets, then one row of (fading, active) uniforms per site in the disc,
     trial by trial, so one generator serves the active and the idle
@@ -536,7 +524,29 @@ def _lattice_tier(rng: np.random.Generator, tier, radius: float, trials: int):
     fade[present] = -np.log1p(-rows[:, 0])
     active = np.zeros(r2.shape, dtype=bool)
     active[present] = rows[:, 1] < tier.activity
-    return tuple(np.ascontiguousarray(a.T) for a in (r2, fade, active, present))
+    return tuple(np.ascontiguousarray(a.T) for a in (x, y, r2, fade, active, present))
+
+
+def _station_field(stream, densities, radius: float, trials: int):
+    """(r2, fade, present, tier, positions, mark) of the nearest-first field
+    of all K tiers' stations in the first `trials` columns of a block:
+    stream(K, 0) draws it at the summed density (_poisson_tier), stream(K,
+    1) a row of (tier, angle, activity) uniforms per row, chunk by chunk as
+    one draw fills them row-major, keeping only the run's columns."""
+    K = len(densities)
+    # a station's tier mark falls below these density shares; the last
+    # bound is inf, so rounding never yields tier K
+    bounds = np.append(np.cumsum(densities[:-1]) / sum(densities), math.inf)
+    marks = stream(K, 1)
+    # a chunk holds until the next one is drawn, so copy each
+    r2, fade, present, uniforms = map(np.concatenate, zip(*(
+        (*(a.copy() for a in chunk),
+         marks.random((len(chunk[0]), _BLOCK_TRIALS, 3))[:, :trials].copy())
+        for chunk in _poisson_tier(stream(K, 0), sum(densities), radius, trials)
+    )))
+    tier = np.searchsorted(bounds, uniforms[..., 0], side="right")
+    positions = _plane(np.sqrt(r2), 2.0 * math.pi * uniforms[..., 1])
+    return r2, fade, present, tier, positions, uniforms[..., 2]
 
 
 def _estimate_loads(
@@ -556,7 +566,7 @@ def _estimate_loads(
                 continue
             idle = with_idle and k + 1 in network.access
             if placement == "hex-first-tier" and k == 0:
-                r2, fade, active, present = _lattice_tier(stream(k, 0), tier, radius, trials)
+                _, _, r2, fade, active, present = _lattice_tier(stream(k, 0), tier, radius, trials)
                 yield k, True, r2, fade, present & active
                 if idle:
                     yield k, False, r2, fade, present & ~active
@@ -641,14 +651,15 @@ def estimate_coverage_system(
 
     A block reads four streams stream(K, s) for K tiers (_count_covered
     binds seed and block): s = 0 is one nearest-first field of all stations
-    (_poisson_tier), s = 1 its rows' (tier, angle, activity) uniforms,
-    s = 2 the users' arrivals and s = 3 their positions.  A trial's
-    stations and users are prefixes of its column, so a run of n trials is
-    a prefix of any longer run, and results follow _BLOCK_TRIALS, as
-    estimate_coverage's do.  The users of density lambda_u are the rows
-    whose unit-rate arrival is at most pi lambda_u R^2, so those of a
-    smaller density are a prefix of those of a larger one: the active
-    stations nest in lambda_u, and on one seed coverage never rises with it.
+    and s = 1 its rows' (tier, angle, activity) uniforms (_station_field;
+    draw_realization renders trial 0), s = 2 the users' arrivals and s = 3
+    their positions.  A trial's stations and users are prefixes of its
+    column, so a run of n trials is a prefix of any longer run, and results
+    follow _BLOCK_TRIALS, as estimate_coverage's do.  The users of density
+    lambda_u are the rows whose unit-rate arrival is at most pi lambda_u
+    R^2, so those of a smaller density are a prefix of those of a larger
+    one: the active stations nest in lambda_u, and on one seed coverage
+    never rises with it.
     """
     if resource_blocks < 1:
         raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
@@ -656,23 +667,13 @@ def estimate_coverage_system(
     radius = _run_radius(sim, densities, [user_density, *densities])
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
-    # a station's tier mark falls below these density shares; the last
-    # bound is inf, so rounding never yields tier K
-    bounds = np.cumsum(densities) / sum(densities)
-    bounds[-1] = math.inf
     # the tier shares of the inner users of each trial that has some
     shares = []
     activity_sums, station_counts = np.zeros((2, K))
 
     def block(stream, trials):
-        # a chunk holds until the next one is drawn, so copy each
-        r2, fade, present = map(np.concatenate, zip(*(
-            [a.copy() for a in chunk]
-            for chunk in _poisson_tier(stream(K, 0), sum(densities), radius, trials)
-        )))
-        marks = stream(K, 1).random((len(r2), _BLOCK_TRIALS, 3))
-        tier = np.searchsorted(bounds, marks[:, :trials, 0], side="right")
-        positions = _plane(np.sqrt(r2), 2.0 * math.pi * marks[:, :trials, 1])
+        r2, fade, present, tier, positions, mark = _station_field(
+            stream, densities, radius, trials)
         users = np.zeros(trials, dtype=np.int64)
         if user_density > 0.0:
             for chunk in _poisson_tier(stream(K, 2), user_density, radius, trials):
@@ -692,7 +693,7 @@ def estimate_coverage_system(
             inner = chosen[u <= 0.25]  # within R / 2 of the centre
             if len(inner):
                 shares.append(np.bincount(tier[inner, i], minlength=K) / len(inner))
-        active = marks[:, :trials, 2] < activity
+        active = mark < activity
         for k in range(K):
             mine = present & (tier == k)
             station_counts[k] += np.count_nonzero(mine)
@@ -792,8 +793,8 @@ def realization_to_csv(realization: Realization, file) -> None:
 def raster_to_csv(realization: Realization, grid: np.ndarray, file) -> None:
     """Write a raster as CSV rows "x,y,bs_id,tier"; blank pixels carry -1."""
     centers = [repr(c) for c in _pixel_centers(realization.radius, grid.shape[0]).tolist()]
-    # a blank pixel's id -1 picks the appended tier -1
-    tiers = np.append(realization.tiers, -1)[grid]
+    # one ",bs_id,tier" per station; a blank pixel's id -1 picks the last
+    suffixes = [*(f",{bs},{t}\n" for bs, t in enumerate(realization.tiers.tolist())), ",-1,-1\n"]
     file.write("x,y,bs_id,tier\n")
-    for y, bs_row, tier_row in zip(centers, grid.tolist(), tiers.tolist()):
-        file.writelines(f"{x},{y},{bs},{tier}\n" for x, bs, tier in zip(centers, bs_row, tier_row))
+    for y, row in zip(centers, grid.tolist()):
+        file.write("".join([f"{x},{y}{suffixes[bs]}" for x, bs in zip(centers, row)]))

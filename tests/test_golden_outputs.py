@@ -109,6 +109,8 @@ COMMANDS = {
                                       "--sweep-values", "1,5,16"]),
     "raster": ("closed", ["raster", "--resolution", "24", "--radius", "3", "--seed", "4",
                           "--mode", "thinned-biased", "--placement", "hex-first-tier"]),
+    "raster-ppp": ("three", ["raster", "--resolution", "24", "--radius", "3", "--seed", "5",
+                             "--mode", "thinned-regions"]),
 }
 
 GOLDEN = {
@@ -132,7 +134,8 @@ GOLDEN = {
     "sweep-activity-3": "dd4392b7a9b42658fad3d8a273215f82c91bb728346810eb8f8c63cb68ca0e96",
     "sweep-target-closed": "0e32aa12f2d0cb75fb3a354fd2f737a4c540fbbc891f5bf0844b0521f591a3ee",
     "sweep-series-peak": "1e939da8f36b9e06763d09a59012afa5b05afe8f2a2fa3d5cbb7ec0424984763",
-    "raster": "245f85d4671ed4e761343603d3e128ccfad918884763215cbca3c14094eeb754",
+    "raster": "a9d85663d3cbca04eed3f1524b2637f0e638eeb54ee4052850ece7ec1a32553b",
+    "raster-ppp": "20ce52b2a5d335cd1268d9ce09cd02bb308f915447864a2f7e3611c4077050f8",
 }
 
 

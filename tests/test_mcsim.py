@@ -15,7 +15,6 @@ from scipy.spatial import cKDTree
 
 import hetcov as hc
 from hetcov import mcsim
-from hetcov.mcsim import _trial_rng
 
 
 def single_tier(power=1.0, density=1.0, target_sir=2.0, activity=0.5, alpha=4.0):
@@ -52,20 +51,20 @@ class TestSimConfig:
 
 class TestSamplePpp:
     def test_zero_density_is_empty(self):
-        pts = hc.sample_ppp(0.0, 5.0, _trial_rng(0, 0))
+        pts = hc.sample_ppp(0.0, 5.0, np.random.default_rng(0))
         assert pts.shape == (0, 2)
         # whatever the radius: 0 * inf points would be nan
-        assert hc.sample_ppp(0.0, 1e300, _trial_rng(0, 0)).shape == (0, 2)
+        assert hc.sample_ppp(0.0, 1e300, np.random.default_rng(0)).shape == (0, 2)
 
     def test_tiny_disc_at_huge_density_draws(self):
         # 1e200 * pi * (1e-100)^2: about 3 expected points
-        pts = hc.sample_ppp(1e200, 1e-100, _trial_rng(0, 0))
+        pts = hc.sample_ppp(1e200, 1e-100, np.random.default_rng(0))
         assert pts.shape[1] == 2 and len(pts) < 20
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 1e-100)
 
     def test_count_matches_the_intensity(self):
         # lambda * pi * R^2 = 100; mean count over 10^4 draws within 100 +- 3
-        rng = _trial_rng(1, 0)
+        rng = np.random.default_rng(1)
         radius = 5.0
         density = 100.0 / (math.pi * radius**2)
         counts = [len(hc.sample_ppp(density, radius, rng)) for _ in range(10_000)]
@@ -73,7 +72,7 @@ class TestSamplePpp:
 
     def test_count_in_cell_uniformity(self):
         # chi-square over 4 quadrants x 5 equal-area annuli at the 1% level
-        rng = _trial_rng(2, 0)
+        rng = np.random.default_rng(2)
         radius = 10.0
         pts = hc.sample_ppp(40.0, radius, rng)
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
@@ -86,14 +85,14 @@ class TestSamplePpp:
 
     def test_domains(self):
         with pytest.raises(ValueError):
-            hc.sample_ppp(-1.0, 5.0, _trial_rng(0, 0))
+            hc.sample_ppp(-1.0, 5.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            hc.sample_ppp(1.0, 0.0, _trial_rng(0, 0))
+            hc.sample_ppp(1.0, 0.0, np.random.default_rng(0))
 
     def test_nan_density_is_rejected(self):
         # nan < 0 is false, so a sign test alone would draw an empty field
         with pytest.raises(ValueError, match="non-negative densities"):
-            hc.sample_ppp(float("nan"), 5.0, _trial_rng(0, 0))
+            hc.sample_ppp(float("nan"), 5.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "density, radius, expected",
@@ -102,17 +101,17 @@ class TestSamplePpp:
     )
     def test_discs_it_cannot_draw_name_the_expected_count(self, density, radius, expected):
         with pytest.raises(ValueError, match=re.escape(f"holds {expected} expected points")):
-            hc.sample_ppp(density, radius, _trial_rng(0, 0))
+            hc.sample_ppp(density, radius, np.random.default_rng(0))
 
 
 class TestSampleHexGrid:
     def test_realised_density(self):
-        pts = hc.sample_hex_grid(1.0, 30.0, _trial_rng(3, 0))
+        pts = hc.sample_hex_grid(1.0, 30.0, np.random.default_rng(3))
         realised = len(pts) / (math.pi * 30.0**2)
         assert abs(realised - 1.0) < 0.02
 
     def test_interior_nearest_neighbour_distance_is_the_spacing(self):
-        pts = hc.sample_hex_grid(1.0, 30.0, _trial_rng(4, 0))
+        pts = hc.sample_hex_grid(1.0, 30.0, np.random.default_rng(4))
         spacing = math.sqrt(2.0 / (math.sqrt(3.0) * 1.0))
         interior = pts[np.hypot(pts[:, 0], pts[:, 1]) < 30.0 - 2 * spacing]
         distances, _ = cKDTree(pts).query(interior, k=2)
@@ -132,12 +131,12 @@ class TestSampleHexGrid:
 
     def test_domains(self):
         with pytest.raises(ValueError):
-            hc.sample_hex_grid(0.0, 5.0, _trial_rng(0, 0))
+            hc.sample_hex_grid(0.0, 5.0, np.random.default_rng(0))
 
     def test_index_range_keeps_every_site_of_the_disc_in_order(self):
         density, radius = 0.7, 6.0
         spacing = math.sqrt(2.0 / (math.sqrt(3.0) * density))
-        shift = _trial_rng(7, 0).random((300, 2))
+        shift = np.random.default_rng(7).random((300, 2))
         x, y = mcsim._hex_sites(density, radius, shift)
         # only the pairs within radius + 2 spacings of the origin remain
         assert x.shape[-1] < density * math.pi * (radius + 2.5 * spacing) ** 2
@@ -158,13 +157,29 @@ class TestSampleHexGrid:
     )
     def test_discs_it_cannot_draw_name_the_expected_count(self, density, radius, expected):
         with pytest.raises(ValueError, match=re.escape(f"holds {expected} expected points")):
-            hc.sample_hex_grid(density, radius, _trial_rng(0, 0))
+            hc.sample_hex_grid(density, radius, np.random.default_rng(0))
+
+
+def brute_force_covered(network, load, stations) -> bool:
+    """Whether any candidate the load admits on an access tier clears its
+    target, each SIR summed from scratch: stations are (0-based tier,
+    active, squared distance, fade) rows, and every active one interferes."""
+    signals = [(k, act, network.tiers[k].power * fade * d2 ** (-network.alpha / 2.0))
+               for k, act, d2, fade in stations]
+    for i, (k, act, signal) in enumerate(signals):
+        if k + 1 not in network.access or (load == "idle-only" if act else load == "fully-loaded"):
+            continue
+        rest = math.fsum(s for j, (_, on, s) in enumerate(signals) if on and j != i)
+        with np.errstate(divide="ignore"):
+            if np.float64(signal) / rest >= network.tiers[k].target_sir:
+                return True
+    return False
 
 
 class TestRealization:
     def test_structure_and_marks(self):
         net = two_tier()
-        real = hc.draw_realization(net, 6.0, _trial_rng(7, 0))
+        real = hc.draw_realization(net, 6.0, np.random.default_rng(7))
         n = len(real)
         assert real.positions.shape == (n, 2)
         assert set(np.unique(real.tiers)) <= {1, 2}
@@ -175,16 +190,100 @@ class TestRealization:
     def test_thinning_consistency(self):
         # marginal active density must match activity * density within 3 sigma
         net = single_tier(density=0.7, activity=0.45)
-        radius, trials = 5.0, 10_000
+        radius, trials, rng = 5.0, 10_000, np.random.default_rng(8)
         active = sum(
-            int(hc.draw_realization(net, radius, _trial_rng(8, t)).active.sum())
-            for t in range(trials)
+            int(hc.draw_realization(net, radius, rng).active.sum()) for _ in range(trials)
         )
         expected = 0.45 * 0.7 * math.pi * radius**2 * trials
         assert abs(active - expected) < 3.0 * math.sqrt(expected)
 
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    def test_the_rendered_field_is_trial_0_of_a_run(self, monkeypatch, placement):
+        # draw_realization(net, R, s) renders the stations, fades and tiers
+        # of trial 0 of the system simulation with seed s and radius R, and
+        # under hex-first-tier the lattice of trial 0 of estimate_coverage;
+        # a brute-force SIR of every candidate in that trial gives the
+        # decision step's verdict on it
+        reducer, runs = mcsim._count_covered, []
+
+        def tee(network, sim, block):
+            chunks = []  # (tier, active, rows, r2, fade) of trial 0's stations
+
+            def kept(stream, trials):  # the runs below hold one block
+                for k, active, r2, fade, present in block(stream, trials):
+                    rows = np.flatnonzero(present[:, 0])
+                    chunks.append((k, active, rows, r2[rows, 0], fade[rows, 0]))
+                    yield k, active, r2, fade, present
+            runs.append((reducer(network, sim, kept), chunks))
+            return runs[-1][0]
+
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
+        net = hc.Network(alpha=3.6, tiers=(
+            hc.Tier(1.0, 0.6, 1.5, 0.6), hc.Tier(0.1, 2.0, 0.8, 0.4), hc.Tier(0.02, 1.0, 2.0, 0.7)))
+        radius, verdicts = 4.0, []
+        for seed in range(6):
+            real = hc.draw_realization(net, radius, seed, placement)
+            sim = hc.SimConfig(trials=3, seed=seed, window_radius=radius)
+            if placement == "ppp":
+                hc.estimate_coverage_system(net, 20.0, 4, sim)
+                loads, first = ["conditional-thinning"], 0
+            else:
+                mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+                loads, first = mcsim.LOAD_MODES, np.count_nonzero(real.tiers == 1)
+                # the other tiers are the system simulation's field without tier 1
+                field = hc.draw_realization(net, radius, seed)
+                others = field.tiers != 1
+                for got, want in [(real.positions[first:], field.positions[others]),
+                                  (real.tiers[first:], field.tiers[others]),
+                                  (real.fading[first:], field.fading[others]),
+                                  (real.active[first:], field.active[others])]:
+                    np.testing.assert_array_equal(got, want)
+            run, chunks = runs[-1]
+            # the rendered stations share one chunk's rows, the system
+            # field's or the lattice's, which each kind's chunk splits
+            shown = [c for c in chunks if placement == "ppp" or c[0] == 0]
+            rows = np.concatenate([c[2] for c in shown])
+            order = np.argsort(rows)
+            assert (np.diff(rows[order]) > 0).all()
+            tiers = np.concatenate([np.full(len(c[2]), c[0] + 1) for c in shown])[order]
+            active = np.concatenate([np.full(len(c[2]), c[1]) for c in shown])[order]
+            r2, fade = (np.concatenate([c[i] for c in shown])[order] for i in (3, 4))
+            count = len(r2) if placement == "ppp" else first
+            assert len(r2) == count and len(real) >= count > 0
+            d2 = np.square(real.positions[:count]).sum(axis=1)
+            np.testing.assert_allclose(d2, r2, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(real.tiers[:count], tiers)
+            np.testing.assert_array_equal(real.fading[:count], fade)
+            if placement == "ppp":
+                assert len(real) == count
+            else:  # the lattice keeps its active marks
+                np.testing.assert_array_equal(real.active[:count], active)
+            stations = list(zip(tiers - 1, active, d2, fade))
+            # and the drawn stations of the run's Poisson tiers
+            stations += [(k, act, a, f) for k, act, _, r, fd in chunks
+                         if k > 0 and placement != "ppp" for a, f in zip(r, fd)]
+            for load in loads:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a trial without a candidate
+                    est = mcsim._binomial_estimate(
+                        net, [a[..., :1] for a in run], load, radius, 0.0, [0.0, 0.0])
+                covered = brute_force_covered(net, load, stations)
+                assert est.mean == float(covered)
+                verdicts.append(covered)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_draws_from_a_generator_and_checks_its_seed(self):
+        net = two_tier()
+        rng, again = np.random.default_rng(3), np.random.default_rng(3)
+        seed = int(again.integers(2**64, dtype=np.uint64))
+        got, want = hc.draw_realization(net, 3.0, rng), hc.draw_realization(net, 3.0, seed)
+        np.testing.assert_array_equal(got.positions, want.positions)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                hc.draw_realization(net, 3.0, bad)
+
     def test_csv_export(self):
-        real = hc.draw_realization(two_tier(), 4.0, _trial_rng(9, 0))
+        real = hc.draw_realization(two_tier(), 4.0, np.random.default_rng(9))
         buffer = io.StringIO()
         hc.realization_to_csv(real, buffer)
         lines = buffer.getvalue().splitlines()
@@ -959,7 +1058,7 @@ class TestCoverageRegionRaster:
             ),
         )
         for seed in range(3):
-            real = hc.draw_realization(net, 4.0, _trial_rng(seed, 0), placement)
+            real = hc.draw_realization(net, 4.0, np.random.default_rng(seed), placement)
             np.testing.assert_array_equal(
                 hc.coverage_region_raster(real, 24, mode),
                 brute_force_raster(real, 24, mode),
@@ -989,7 +1088,7 @@ class TestCoverageRegionRaster:
 
     def test_cell_areas_grow_under_thinning(self):
         net = two_tier(p1=0.5, p2=0.5)
-        real = hc.draw_realization(net, 6.0, _trial_rng(24, 0))
+        real = hc.draw_realization(net, 6.0, np.random.default_rng(24))
         full = hc.coverage_region_raster(real, 50, "full")
         biased = hc.coverage_region_raster(real, 50, "thinned-biased")
         for station in np.unique(full):
@@ -1025,7 +1124,7 @@ class TestCoverageRegionRaster:
     @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
     @pytest.mark.parametrize("mode", mcsim.RASTER_MODES)
     def test_csv_writers_match_the_per_row_writers(self, mode, placement, seed):
-        real = hc.draw_realization(two_tier(p1=0.5, p2=0.3), 3.0, _trial_rng(seed, 0),
+        real = hc.draw_realization(two_tier(p1=0.5, p2=0.3), 3.0, np.random.default_rng(seed),
                                    placement=placement)
         grid = hc.coverage_region_raster(real, 15, mode)
         if mode == "thinned-regions":

@@ -433,22 +433,27 @@ def test_each_rule_has_one_copy():
         assert {name: text.count(needle) for name, text in sources.items()
                 if needle in text} == {"model.py": 1}
         assert needle in inspect.getsource(owner)
-    # one stream scheme: every estimator draws block streams, and per-trial
-    # streams serve only draw_realization's callers
-    for needle, owner in [("np.random.Philox", mcsim._trial_rng),
-                          ("np.random.PCG64", mcsim._block_rng)]:
+    # one stream scheme: the package constructs one generator, a block
+    # stream, and the rendered field is drawn from block streams too
+    for needle in ("np.random.Generator(", "np.random.PCG64"):
         assert {name: text.count(needle) for name, text in sources.items()
                 if needle in text} == {"mcsim.py": 1}
-        assert needle in inspect.getsource(owner)
-    system = inspect.getsource(mcsim.estimate_coverage_system)
-    assert "_trial_rng(" not in system
-    # one block loop: _count_covered alone walks the blocks and keys their
-    # streams, and each estimator only says what one block holds
+        assert needle in inspect.getsource(mcsim._block_rng)
+    assert not any(re.search(r"Philox|default_rng|RandomState", text)
+                   for text in sources.values())
+    # one block loop: _count_covered alone walks the blocks, and it and
+    # draw_realization (block 0 of a run) alone bind a block's streams;
+    # each estimator only says what one block holds
     reducer = inspect.getsource(mcsim._count_covered)
-    for pattern in [r"(?<!def )_block_rng\(", r"range\(0, [^)]*_BLOCK_TRIALS\)"]:
-        assert {name: len(re.findall(pattern, text)) for name, text in sources.items()
-                if re.search(pattern, text)} == {"mcsim.py": 1}
-        assert re.search(pattern, reducer)
+    pattern = r"range\(0, [^)]*_BLOCK_TRIALS\)"
+    assert {name: len(re.findall(pattern, text)) for name, text in sources.items()
+            if re.search(pattern, text)} == {"mcsim.py": 1}
+    assert re.search(pattern, reducer)
+    binding = r"partial\(_block_rng, |(?<!def )_block_rng\("
+    assert {name: len(re.findall(binding, text)) for name, text in sources.items()
+            if re.search(binding, text)} == {"mcsim.py": 2}
+    assert "partial(_block_rng, sim.seed, b)" in reducer
+    assert "partial(_block_rng, " in inspect.getsource(mcsim.draw_realization)
     # one decision step: the reducer keeps raw signals, and a run meets the
     # targets and the access set only where it is decided
     decision = inspect.getsource(mcsim._binomial_estimate)
