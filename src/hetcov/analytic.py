@@ -87,7 +87,7 @@ def _warn_low_targets(network: Network) -> None:
 
 def laplace_interference(network: Network, s: float) -> float:
     """Laplace transform of the aggregate active-field interference at s."""
-    if s < 0.0:
+    if not s >= 0.0:  # NaN fails too
         raise ValueError(f"Laplace argument must be non-negative, got {s}")
     scale = derived_constants(network).interference_scale
     return math.exp(-scale * s ** (2.0 / network.alpha))
@@ -260,8 +260,8 @@ def correction_term(network: Network, m: int) -> float:
     SeriesConvergenceError when the term is not finite (it overflows).
     Targets at or below 0 dB warn, as in coverage().
     """
-    if m < 1:
-        raise ValueError(f"term index must be >= 1, got {m}")
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"term index must be an integer >= 1, got {m}")
     series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=m)[0]
     if not math.isfinite(terms[-1]):
@@ -300,8 +300,8 @@ def correction_trace(
     from scipy.special import gammaln
 
     control = control or _DEFAULT_CONTROL
-    if count is not None and count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count is not None and not (count >= 1 and count % 1 == 0):
+        raise ValueError(f"count must be an integer >= 1, got {count}")
     series = _network_series(network)
     if count is None and series.ratio == 0.0:
         return []
@@ -412,8 +412,8 @@ def coverage_bounds(network: Network, m: int) -> tuple[float, float]:
     the envelope hump.  Raises SeriesConvergenceError when one of the 2m
     terms is not finite.  Targets at or below 0 dB warn, as in coverage().
     """
-    if m < 1:
-        raise ValueError(f"bound order must be >= 1, got {m}")
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"bound order must be an integer >= 1, got {m}")
     series = _network_series(network)
     terms, _ = _series_terms([series], _DEFAULT_CONTROL, count=2 * m)[0]
     if not all(map(math.isfinite, terms)):

@@ -286,7 +286,7 @@ def _cmd_compare(network, args) -> tuple[str, int, str]:
     sim = _sim_config(args)
     analytic_ct = coverage(network, control)
     analytic = (analytic_ct, full_load_coverage(network), coverage_idle_only(network, control))
-    estimates = _estimate_loads(network, sim, "ppp", LOAD_MODES)
+    estimates = _estimate_loads([network], sim, "ppp", LOAD_MODES)
     rows = []
     for load, result, est in zip(LOAD_MODES, analytic, estimates):
         delta = abs(result.value - est.mean)
@@ -338,10 +338,10 @@ def _sweep_grid(network, target, values, control, args):
     for an access fraction its closed-access and its open-access variant.
     Each point's tiers and networks come from their constructors, which
     check them as the scenario's were checked.  All analytic points of the
-    sweep go through the series kernel in one call, then the Monte Carlo
-    engine runs once per network, or once per user density in the system
-    simulation.  Also returns the grid values whose series did not
-    converge."""
+    sweep go through the series kernel in one call, and all Monte Carlo
+    points through one _estimate_loads call, which lets networks of one
+    field share a draw, or the system simulation runs once per user
+    density.  Also returns the grid values whose series did not converge."""
     want_analytic = args.engine in ("analytic", "both")
     want_mc = args.engine in ("mc", "both")
     analytic = ["analytic_value", "analytic_lower", "analytic_upper"]
@@ -422,8 +422,9 @@ def _sweep_grid(network, target, values, control, args):
             networks.append([Network(network.alpha, tuple(tiers), network.access)])
     header = lead + (analytic if want_analytic else []) + (mc if want_mc else [])
     unconverged = []
+    flat = [n for variants in networks for n in variants]
     if want_analytic:
-        results = iter(coverage_batch([n for variants in networks for n in variants], control))
+        results = iter(coverage_batch(flat, control))
         for row, variants in zip(rows, networks):
             found = [next(results) for _ in variants]
             if target == "access_fraction":
@@ -436,12 +437,13 @@ def _sweep_grid(network, target, values, control, args):
     if want_mc:
         sim = _sim_config(args)
         if target == "user_density":
-            estimates = [[estimate_coverage_system(network, lu, args.resource_blocks, sim)]
+            estimates = [estimate_coverage_system(network, lu, args.resource_blocks, sim)
                          for lu in values]
         else:
-            estimates = [[estimate_coverage(n, sim) for n in variants] for variants in networks]
-        for row, found in zip(rows, estimates):
-            row += [v for est in found for v in (est.mean, est.stderr)]
+            estimates = _estimate_loads(flat, sim, "ppp", ["conditional-thinning"])
+        cells = iter([v for est in estimates for v in (est.mean, est.stderr)])
+        for row in rows:
+            row += [next(cells) for _ in mc]
     return header, rows, unconverged
 
 

@@ -6,24 +6,25 @@ rasteriser.  Estimators draw all randomness from counter-based streams.
 By the thinning theorem a tier's active and idle stations are independent
 Poisson fields of densities p * density and (1 - p) * density, so the
 coverage estimator draws them as two streams, keyed on (seed, block, tier,
-stream) for each tier of each block of _BLOCK_TRIALS trials.  A load draws
-only the streams it reads: the active stream always, the idle stream of an
-accessible tier only for a load with idle candidates, and one draw serves
-several loads.  An idle station never interferes and counts only through
-the largest idle signal of its tier, so an idle stream stops where no
-further station can raise that signal (the fade is bounded, _FADE_MAX),
-and a run reports its stations per trial as their expectation.  The system
-simulation draws block streams too, its users as arrivals in density
-(estimate_coverage_system), and draw_realization renders trial 0 of its
-field (_station_field).  One driver (_count_covered) runs the blocks,
-binding their streams to the seed and the block and keeping every trial's
-state, the largest signal per kind and tier, and an estimator only says
-what one block holds.  The targets, the access set and the load rule enter
-only after the blocks, in the decision step (_binomial_estimate).  Each
-(slots, trials) array is reduced over the slot axis, so the width sets how
-many trials each numpy call serves (_BLOCK_TRIALS).  A result follows the
-seed and _BLOCK_TRIALS, not the chunking or the trial count: a run of n
-trials is a prefix of any longer run with the same seed.
+stream) for each tier of each block of _BLOCK_TRIALS trials.  A run draws
+the active streams, and the idle streams of the accessible tiers only for
+a load with idle candidates.  An idle station never interferes and counts
+only through the largest idle signal of its tier, so an idle stream stops
+where no further station can raise that signal (the fade is bounded,
+_FADE_MAX), and a run reports its stations per trial as their expectation.
+The system simulation draws block streams too, its users as arrivals in
+density (estimate_coverage_system), and draw_realization renders trial 0
+of its field (_station_field).  One driver (_count_covered) runs the
+blocks, binding their streams to the seed and the block and keeping every
+trial's state, the largest signal per kind and tier, and an estimator only
+says what one block holds.  The targets, the access set and the load rule
+enter only after the blocks, in the decision step (_binomial_estimate), so
+one draw serves every load, target and access set of a field
+(_estimate_loads).  Each (slots, trials) array is reduced over the slot
+axis, so the width sets how many trials each numpy call serves
+(_BLOCK_TRIALS).  A result follows the seed and _BLOCK_TRIALS, not the
+chunking or the trial count: a run of n trials is a prefix of any longer
+run with the same seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from numbers import Integral
 
 import numpy as np
 
@@ -102,17 +105,16 @@ class SimConfig:
     min_expected_points: int = 500
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed <= _UINT64_MASK:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        # numpy draws with integer counts and seeds; Integral admits numpy's
+        for name in ("trials", "min_expected_points"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed <= _UINT64_MASK):
+            raise ValueError(f"seed must be an integer that fits in 64 bits, got {self.seed}")
         if self.window_radius is not None and not self.window_radius > 0.0:
             raise ValueError(
                 f"window_radius must be positive, got {self.window_radius}"
-            )
-        if self.min_expected_points < 1:
-            raise ValueError(
-                f"min_expected_points must be >= 1, got {self.min_expected_points}"
             )
 
 
@@ -549,46 +551,53 @@ def _station_field(stream, densities, radius: float, trials: int):
     return r2, fade, present, tier, positions, uniforms[..., 2]
 
 
-def _estimate_loads(
-    network: Network, sim: SimConfig, placement: str, loads
-) -> list[Estimate]:
-    """estimate_coverage for each of several loads from one draw; each
-    Estimate equals the one estimate_coverage gives on its load alone,
-    since no stream's key or content depends on the loads requested.
-    block reads tier k's stream s (0 active, 1 idle) as stream(k, s)."""
-    densities = [t.density for t in network.tiers]
-    radius = _run_radius(sim, [t.activity * t.density for t in network.tiers], densities)
+def _estimate_loads(networks, sim: SimConfig, placement: str, loads) -> list[Estimate]:
+    """estimate_coverage of each network under each load, network-major.
+    No stream's key or content depends on a target, an access set or a
+    load, so neighbouring networks of equal alpha and tier (power, density,
+    activity) share one draw, with the idle streams of all their access
+    tiers, and each Estimate equals estimate_coverage on its network and
+    load alone."""
     with_idle = any(load != "fully-loaded" for load in loads)
+    estimates = []
+    for _, (network, *rest) in groupby(networks, lambda n: (
+            n.alpha, [(t.power, t.density, t.activity) for t in n.tiers])):
+        densities = [t.density for t in network.tiers]
+        radius = _run_radius(sim, [t.activity * t.density for t in network.tiers], densities)
+        access = network.access.union(*(n.access for n in rest))
 
-    def block(stream, trials):
-        for k, tier in enumerate(network.tiers):
-            if not tier.density > 0.0:
-                continue
-            idle = with_idle and k + 1 in network.access
-            if placement == "hex-first-tier" and k == 0:
-                _, _, r2, fade, active, present = _lattice_tier(stream(k, 0), tier, radius, trials)
-                yield k, True, r2, fade, present & active
-                if idle:
-                    yield k, False, r2, fade, present & ~active
-                continue
-            shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
-            for s, share in enumerate(shares):
-                if share > 0.0:
-                    # an idle stream is read only for its largest signal
-                    cutoff = network.alpha if s else None
-                    for chunk in _poisson_tier(
-                        stream(k, s), share * tier.density, radius, trials, cutoff
-                    ):
-                        yield (k, s == 0, *chunk)
+        def block(stream, trials):
+            for k, tier in enumerate(network.tiers):
+                if not tier.density > 0.0:
+                    continue
+                idle = with_idle and k + 1 in access
+                if placement == "hex-first-tier" and k == 0:
+                    _, _, r2, fade, active, present = _lattice_tier(
+                        stream(k, 0), tier, radius, trials)
+                    yield k, True, r2, fade, present & active
+                    if idle:
+                        yield k, False, r2, fade, present & ~active
+                    continue
+                shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
+                for s, share in enumerate(shares):
+                    if share > 0.0:
+                        # an idle stream is read only for its largest signal
+                        cutoff = network.alpha if s else None
+                        for chunk in _poisson_tier(
+                            stream(k, s), share * tier.density, radius, trials, cutoff
+                        ):
+                            yield (k, s == 0, *chunk)
 
-    run = _count_covered(network, sim, block)
-    bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
-    # a lattice tier holds as many sites per trial on average as a Poisson one
-    area = math.pi * radius * radius
-    stations = [area * sum(t.activity * t.density for t in network.tiers),
-                area * sum((1.0 - t.activity) * t.density
-                           for k, t in enumerate(network.tiers) if k + 1 in network.access)]
-    return [_binomial_estimate(network, run, load, radius, bound, stations) for load in loads]
+        run = _count_covered(network, sim, block)
+        bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
+        # a lattice tier holds as many sites per trial on average as a Poisson one
+        area = math.pi * radius * radius
+        for n in (network, *rest):
+            stations = [area * sum(t.activity * t.density for t in n.tiers),
+                        area * sum((1.0 - t.activity) * t.density for _, t in n.access_tiers())]
+            estimates += [_binomial_estimate(n, run, load, radius, bound, stations)
+                          for load in loads]
+    return estimates
 
 
 def estimate_coverage(
@@ -629,8 +638,7 @@ def estimate_coverage(
         raise ValueError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
     if load not in LOAD_MODES:
         raise ValueError(f"load must be one of {LOAD_MODES}, got {load!r}")
-    (estimate,) = _estimate_loads(network, sim, placement, (load,))
-    return estimate
+    return _estimate_loads([network], sim, placement, [load])[0]
 
 
 def estimate_coverage_system(
@@ -661,8 +669,8 @@ def estimate_coverage_system(
     one: the active stations nest in lambda_u, and on one seed coverage
     never rises with it.
     """
-    if resource_blocks < 1:
-        raise ValueError(f"resource_blocks must be >= 1, got {resource_blocks}")
+    if not (isinstance(resource_blocks, Integral) and resource_blocks >= 1):
+        raise ValueError(f"resource_blocks must be an integer >= 1, got {resource_blocks}")
     densities = [t.density for t in network.tiers]
     radius = _run_radius(sim, densities, [user_density, *densities])
     K = network.num_tiers

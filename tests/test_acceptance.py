@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hetcov as hc
+from hetcov import mcsim
 from helpers import random_converging_network, random_network
 
 
@@ -158,20 +159,21 @@ def fig6_network(beta_db: float) -> hc.Network:
     )
 
 
-@pytest.mark.slow
 def test_c07_monte_carlo_agreement_two_tier():
     ok = True
     details = []
-    for beta_db in (0.0, 2.0, 4.0, 8.0):
-        net = fig6_network(beta_db)
+    # the five nets differ only in their targets, so one draw decides them all
+    betas_db = (0.0, 2.0, 4.0, 8.0, -6.0)
+    nets = [fig6_network(beta_db) for beta_db in betas_db]
+    estimates = mcsim._estimate_loads(
+        nets, hc.SimConfig(trials=100_000, seed=1234), "ppp", ["conditional-thinning"])
+    for beta_db, net, est in zip(betas_db[:-1], nets, estimates):
         analytic = hc.coverage(net).value
-        est = hc.estimate_coverage(net, hc.SimConfig(trials=100_000, seed=1234))
         tolerance = max(0.01, 3.0 * est.stderr)
         ok &= abs(analytic - est.mean) <= tolerance
         details.append(f"{beta_db:+.0f}dB:{abs(analytic - est.mean):.4f}")
-    low = fig6_network(-6.0)
-    analytic_low = hc.coverage(low).value
-    est_low = hc.estimate_coverage(low, hc.SimConfig(trials=100_000, seed=1234))
+    analytic_low = hc.coverage(nets[-1]).value
+    est_low = estimates[-1]
     ok &= analytic_low > est_low.mean  # series overshoots below 0 dB
     report(7, "two-tier series vs simulation", ok,
            f" (|diff| {', '.join(details)}; -6dB overshoot "
@@ -265,11 +267,11 @@ def test_c11_closed_versus_open():
         )
         opened = hc.Network(alpha=closed.alpha, tiers=tiers)
         ok &= hc.coverage(closed).value <= hc.coverage(opened).value + 1e-12
+        # the pair differs only in its access set, so it shares one draw
         sim = hc.SimConfig(trials=1500, seed=400 + i)
-        ok &= (
-            hc.estimate_coverage(closed, sim).mean
-            <= hc.estimate_coverage(opened, sim).mean
-        )
+        closed_est, opened_est = mcsim._estimate_loads(
+            [closed, opened], sim, "ppp", ["conditional-thinning"])
+        ok &= closed_est.mean <= opened_est.mean
 
     # a fixed fraction of one class in closed access: the open/closed gap
     # must shrink as the open share of that class grows

@@ -69,6 +69,10 @@ class TestLaplaceInterference:
         with pytest.raises(ValueError):
             laplace_interference(single_tier(), -1.0)
 
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            laplace_interference(single_tier(), float("nan"))
+
 
 class TestCorrectionTerm:
     def test_vanishes_when_fully_loaded(self):
@@ -95,6 +99,15 @@ class TestCorrectionTerm:
     def test_index_domain(self):
         with pytest.raises(ValueError):
             correction_term(single_tier(), 0)
+
+    def test_index_must_be_integral(self):
+        net = single_tier(target_sir=2.0, activity=0.6)
+        for m in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                correction_term(net, m)
+        # numpy's integers and integral floats name the same term
+        assert correction_term(net, np.int64(3)) == correction_term(net, 3.0) == correction_term(
+            net, 3)
 
     def test_overflowing_term_raises_as_the_bounds_do(self):
         # activity 0.001 at 3 dB: the terms pass the largest double well
@@ -287,6 +300,13 @@ class TestCoverageBounds:
         with pytest.raises(ValueError):
             coverage_bounds(single_tier(), 0)
 
+    def test_order_must_be_integral(self):
+        net = single_tier(activity=0.5)
+        for m in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                coverage_bounds(net, m)
+        assert coverage_bounds(net, np.int32(2)) == coverage_bounds(net, 2)
+
 
 class TestTruncationTerms:
     def test_fully_loaded_needs_one_term(self):
@@ -338,6 +358,13 @@ class TestCorrectionTrace:
     def test_count_domain(self):
         with pytest.raises(ValueError):
             correction_trace(single_tier(), count=0)
+
+    def test_count_must_be_integral(self):
+        net = single_tier(target_sir=2.0, activity=0.5)
+        for count in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                correction_trace(net, count=count)
+        assert correction_trace(net, count=np.int64(3)) == correction_trace(net, count=3)
 
     def test_fully_loaded_access_tiers_trace_no_term(self):
         # no access tier has an idle station, so A/eta is 0 and every term

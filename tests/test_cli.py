@@ -30,6 +30,7 @@ from hetcov import (
     coverage,
     estimate_coverage,
     estimate_coverage_system,
+    mcsim,
     network_from_dict,
 )
 
@@ -1140,6 +1141,38 @@ class TestSweepCommand:
         for value, row in zip(map(float, values.split(",")), rows):
             found = self.library_estimates(network, target, value, sim)
             assert [row[i] for i in mc] == [repr(v) for e in found for v in (e.mean, e.stderr)]
+
+    @pytest.mark.parametrize(
+        "argv, draws",
+        [
+            # the points of a target sweep share their field, so one draw decides them
+            (["sweep", "--sweep-target", "target_sir_db", "--sweep-values", "-2,1,4"], 1),
+            (["sweep", "--sweep-target", "tier[2].target_sir_db", "--sweep-values", "-2,1,4"], 1),
+            # a point's closed and open variants share its field
+            (["sweep", "--sweep-target", "access_fraction", "--sweep-values", "0,0.3,0.6"], 3),
+            (["sweep", "--sweep-target", "tier[1].density", "--sweep-values", "0.5,1,2"], 3),
+            (["sweep", "--sweep-target", "tier[2].power", "--sweep-values", "0.5,1,2"], 3),
+            (["sweep", "--sweep-target", "tier[2].activity", "--sweep-values", "0.2,0.5,0.8"], 3),
+            (["sweep", "--sweep-target", "user_density", "--sweep-values", "2,5,9",
+              "--resource-blocks", "10"], 3),
+            (["compare"], 1),
+        ],
+        ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else str(v),
+    )
+    def test_each_field_is_drawn_once(self, capsys, monkeypatch, split_scenario, argv, draws):
+        reducer, runs = mcsim._count_covered, []
+
+        def tee(network, sim, block):
+            runs.append(sim)
+            return reducer(network, sim, block)
+
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
+        engine = ["--engine", "mc"] if argv[0] == "sweep" else []
+        code = cli.main([*argv, *engine, "--scenario", split_scenario,
+                         "--trials", "20", "--radius", "3"])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert len(runs) == draws
 
     @pytest.mark.parametrize(
         "spelling, same_as",

@@ -42,6 +42,20 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             hc.SimConfig(trials=10, seed=-1)
 
+    @pytest.mark.parametrize("settings", [
+        dict(trials=2.5), dict(trials=10.0), dict(trials=math.nan), dict(trials=10, seed=1.5),
+        dict(trials=10, seed=2.0), dict(trials=10, min_expected_points=600.5),
+    ])
+    def test_counts_and_the_seed_are_integers(self, settings):
+        with pytest.raises(ValueError, match="must be an integer"):
+            hc.SimConfig(**settings)
+
+    def test_numpy_integers_pass(self):
+        sim = hc.SimConfig(trials=np.int64(3), seed=np.uint64(2**64 - 1),
+                           min_expected_points=np.int32(600))
+        assert hc.estimate_coverage(single_tier(), sim) == hc.estimate_coverage(
+            single_tier(), hc.SimConfig(trials=3, seed=2**64 - 1, min_expected_points=600))
+
     def test_default_window_sizes_off_the_sparsest_active_tier(self):
         net = two_tier(p1=0.8, p2=0.6)
         radius = hc.default_window_radius(net)
@@ -228,7 +242,7 @@ class TestRealization:
                 hc.estimate_coverage_system(net, 20.0, 4, sim)
                 loads, first = ["conditional-thinning"], 0
             else:
-                mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+                mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
                 loads, first = mcsim.LOAD_MODES, np.count_nonzero(real.tiers == 1)
                 # the other tiers are the system simulation's field without tier 1
                 field = hc.draw_realization(net, radius, seed)
@@ -507,6 +521,9 @@ class TestEstimateCoverageSystem:
             hc.estimate_coverage_system(self.fig5(), -1.0, 20, sim)
         with pytest.raises(ValueError):
             hc.estimate_coverage_system(self.fig5(), 1.0, 0, sim)
+        for blocks in (2.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match="resource_blocks must be an integer"):
+                hc.estimate_coverage_system(self.fig5(), 1.0, blocks, sim)
 
 
 def bincount_count_covered(network, load, r2, tier_idx, fade, act, trial_idx, batch):
@@ -689,7 +706,7 @@ class TestBlockEngine:
             warnings.simplefilter("ignore")  # single trials without a candidate
             for access in (None, [1, 3]):
                 net = retarget(base, [1.0] * 3, access)
-                estimates = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+                estimates = mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
                 run = runs[-1]
                 for load, est in zip(mcsim.LOAD_MODES, estimates):
                     # a raised target covers no trial the lower one leaves
@@ -811,12 +828,44 @@ class TestBlockEngine:
             access=[1],
         )
         sim = hc.SimConfig(trials=150, seed=44)
-        shared = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        shared = mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
         alone = [hc.estimate_coverage(net, sim, placement, load) for load in mcsim.LOAD_MODES]
         assert shared == alone
         ct, fl, idle = alone
         assert fl.mean <= ct.mean and idle.mean <= ct.mean
         assert fl.mean_stations_per_trial < ct.mean_stations_per_trial
+
+    @pytest.mark.parametrize("placement", mcsim.PLACEMENTS)
+    @pytest.mark.parametrize("trials", [1, mcsim._BLOCK_TRIALS - 1, mcsim._BLOCK_TRIALS + 1,
+                                        2 * mcsim._BLOCK_TRIALS + 7])
+    def test_neighbours_that_share_a_field_share_its_draw(self, monkeypatch, placement, trials):
+        reducer, runs = mcsim._count_covered, []
+
+        def tee(network, sim, block):
+            runs.append(reducer(network, sim, block))
+            return runs[-1]
+
+        def variant(network, targets_db, access, densities=(1.0, 3.0, 0.5)):
+            return hc.Network(alpha=network.alpha, access=access, tiers=tuple(
+                hc.Tier(t.power, d, 10.0 ** (db / 10.0), t.activity)
+                for t, db, d in zip(network.tiers, targets_db, densities)))
+
+        base = hc.Network(alpha=3.6, tiers=(
+            hc.Tier(1.0, 1.0, 1.0, 0.6), hc.Tier(0.1, 3.0, 1.0, 0.4), hc.Tier(0.02, 0.5, 1.0, 0.7)))
+        a = variant(base, (3.0, 1.0, 6.0), [1])  # closed access
+        b = variant(base, (3.0, 1.0, 6.0), [1], densities=(1.0, 2.0, 0.5))
+        a2 = variant(base, (-4.0, 2.0, -1.0), None)  # a's field at other targets, open
+        nets = [a, a2, b, a2, a]
+        sim = hc.SimConfig(trials=trials, seed=67)
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a lone trial may hold no candidate
+            shared = mcsim._estimate_loads(nets, sim, placement, mcsim.LOAD_MODES)
+            # neighbours of one field draw once: a and a2, b, then a2 and a
+            assert len(runs) == 3
+            alone = [hc.estimate_coverage(n, sim, placement, load)
+                     for n in nets for load in mcsim.LOAD_MODES]
+        assert shared == alone
 
     def test_fully_loaded_draws_the_active_stations_only(self):
         net = two_tier(p1=0.5, p2=0.3)
@@ -941,9 +990,9 @@ class TestIdleCutoff:
     def test_cutting_changes_no_decision(self, monkeypatch, name, placement):
         net = CUTOFF_NETS[name]
         sim = hc.SimConfig(trials=200, seed=61)
-        cut = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        cut = mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
         monkeypatch.setattr(mcsim, "_FADE_MAX", math.inf)  # nothing is cut
-        uncut = mcsim._estimate_loads(net, sim, placement, mcsim.LOAD_MODES)
+        uncut = mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
         area = math.pi * cut[0].window_radius ** 2
         for load, a, b in zip(mcsim.LOAD_MODES, cut, uncut):
             assert (a.mean, a.stderr, a.empty_trials, a.truncated_interference_bound) == (
