@@ -38,6 +38,7 @@ from .mcsim import (
     RASTER_MODES,
     SimConfig,
     _estimate_loads,
+    _estimate_system,
     coverage_region_raster,
     default_window_radius,
     draw_realization,
@@ -340,8 +341,9 @@ def _sweep_grid(network, target, values, control, args):
     check them as the scenario's were checked.  All analytic points of the
     sweep go through the series kernel in one call, and all Monte Carlo
     points through one _estimate_loads call, which lets networks of one
-    field share a draw, or the system simulation runs once per user
-    density.  Also returns the grid values whose series did not converge."""
+    field share a draw, or through one _estimate_system run, which serves
+    every user density of the grid.  Also returns the grid values whose
+    series did not converge."""
     want_analytic = args.engine in ("analytic", "both")
     want_mc = args.engine in ("mc", "both")
     analytic = ["analytic_value", "analytic_lower", "analytic_upper"]
@@ -437,8 +439,7 @@ def _sweep_grid(network, target, values, control, args):
     if want_mc:
         sim = _sim_config(args)
         if target == "user_density":
-            estimates = [estimate_coverage_system(network, lu, args.resource_blocks, sim)
-                         for lu in values]
+            estimates = _estimate_system(network, values, args.resource_blocks, sim)
         else:
             estimates = _estimate_loads(flat, sim, "ppp", ["conditional-thinning"])
         cells = iter([v for est in estimates for v in (est.mean, est.stderr)])

@@ -13,18 +13,18 @@ only through the largest idle signal of its tier, so an idle stream stops
 where no further station can raise that signal (the fade is bounded,
 _FADE_MAX), and a run reports its stations per trial as their expectation.
 The system simulation draws block streams too, its users as arrivals in
-density (estimate_coverage_system), and draw_realization renders trial 0
-of its field (_station_field).  One driver (_count_covered) runs the
-blocks, binding their streams to the seed and the block and keeping every
-trial's state, the largest signal per kind and tier, and an estimator only
-says what one block holds.  The targets, the access set and the load rule
-enter only after the blocks, in the decision step (_binomial_estimate), so
-one draw serves every load, target and access set of a field
-(_estimate_loads).  Each (slots, trials) array is reduced over the slot
-axis, so the width sets how many trials each numpy call serves
-(_BLOCK_TRIALS).  A result follows the seed and _BLOCK_TRIALS, not the
-chunking or the trial count: a run of n trials is a prefix of any longer
-run with the same seed.
+density, so one run serves every user density of a grid (_estimate_system),
+and draw_realization renders trial 0 of its field (_station_field).  One
+reducer (_count_covered) runs the blocks, binding their streams to the seed
+and the block and keeping each run's per-trial state, the largest signal
+per kind and tier, and an estimator only says what one block holds.  The
+targets, the access set and the load rule enter only after the blocks, in
+the decision step (_binomial_estimate), so one draw serves every load,
+target and access set of a field (_estimate_loads).  Each (slots, trials)
+array is reduced over the slot axis, so the width sets how many trials each
+numpy call serves (_BLOCK_TRIALS).  A result follows the seed and
+_BLOCK_TRIALS, not the chunking or the trial count: a run of n trials is a
+prefix of any longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -390,32 +390,33 @@ def draw_realization(
     return Realization(positions, tier + 1, active, fading, powers, radius, network.alpha)
 
 
-def _count_covered(network: Network, sim: SimConfig, block):
-    """The per-trial state of a run laid out as columns: (interference,
-    best, found), for any targets, candidate tiers or load: these enter
-    only in the decision step (_binomial_estimate).
+def _count_covered(network: Network, sim: SimConfig, block, runs: int = 1):
+    """The per-trial state of each of `runs` runs laid out as columns:
+    (interference, best, found) per run, for any targets, candidate tiers
+    or load: these enter only in the decision step (_binomial_estimate).
 
     The package's one loop over blocks: block b fills its slice of the
-    run's columns with the chunks of block(stream, width), width being its
+    runs' columns with the chunks of block(stream, width), width being its
     trials and stream(k, s) the _block_rng stream keyed (sim.seed, b, k,
-    s).  A chunk (tier, active, r2, fade, present) holds active or idle
-    stations of the tier: slot j of column i of the (slots, width) arrays
-    r2, fade and present holds a station in trial i of the block where
-    present is set, and padding (finite, with r2 > 0) elsewhere.  Per
-    trial of the run the reducer keeps the interference of the active
-    stations and, at [kind, tier] of best and found (kind 0 active, 1 idle),
-    the largest signal of the tier's stations of that kind and whether it
-    had one.  A column's state depends on its block alone, and its
-    interference is summed slot by slot in chunk order, so cutting a
-    chunk's slots into more chunks changes no sum.
+    s), so one draw serves every run (a system grid's user densities,
+    _estimate_system).  A chunk (run, tier, active, r2, fade, present)
+    holds active or idle stations of the tier in that run: slot j of column
+    i of the (slots, width) arrays r2, fade and present holds a station in
+    trial i of the block where present is set, and padding (finite, with
+    r2 > 0) elsewhere.  Per trial of a run the reducer keeps the interference
+    of the active stations and, at [kind, tier] of best and found (kind 0
+    active, 1 idle), the largest signal of the tier's stations of that kind
+    and whether it had one.  A column's state depends on its block alone,
+    and its interference is summed slot by slot in chunk order, so cutting
+    a chunk's slots into more chunks changes no sum.
     """
-    interference = np.zeros(sim.trials)
-    best = np.zeros((2, network.num_tiers, sim.trials))  # [active, idle]
+    interference = np.zeros((runs, sim.trials))
+    best = np.zeros((runs, 2, network.num_tiers, sim.trials))  # [run, active/idle, tier]
     found = np.zeros(best.shape, dtype=bool)
     for b, first in enumerate(range(0, sim.trials, _BLOCK_TRIALS)):
         columns = slice(first, min(first + _BLOCK_TRIALS, sim.trials))
         stream = partial(_block_rng, sim.seed, b)
-        for k, active, r2, fade, present in block(stream, columns.stop - first):
+        for run, k, active, r2, fade, present in block(stream, columns.stop - first):
             if not len(r2):
                 continue
             signal = np.multiply(fade, network.tiers[k].power)
@@ -424,19 +425,19 @@ def _count_covered(network: Network, sim: SimConfig, block):
             # signals are non-negative, so zeroing the slots without a
             # station leaves the largest signal
             kind = 0 if active else 1
-            largest = best[kind, k, columns]
+            largest = best[run, kind, k, columns]
             np.maximum(largest, signal.max(axis=0), out=largest)
-            found[kind, k, columns] |= present.any(axis=0)
+            found[run, kind, k, columns] |= present.any(axis=0)
             if active:
                 # carrying the running sum in the first slot sums slot by slot;
                 # add.reduce sums a lone column pairwise, so it is accumulated
-                heard = interference[columns]
+                heard = interference[run, columns]
                 signal[0] += heard
                 if signal.shape[1] > 1:
                     np.add.reduce(signal, axis=0, out=heard)
                 else:
                     heard[:] = np.cumsum(signal, axis=0)[-1]
-    return interference, best, found
+    return list(zip(interference, best, found))
 
 
 def _poisson_tier(
@@ -574,9 +575,9 @@ def _estimate_loads(networks, sim: SimConfig, placement: str, loads) -> list[Est
                 if placement == "hex-first-tier" and k == 0:
                     _, _, r2, fade, active, present = _lattice_tier(
                         stream(k, 0), tier, radius, trials)
-                    yield k, True, r2, fade, present & active
+                    yield 0, k, True, r2, fade, present & active
                     if idle:
-                        yield k, False, r2, fade, present & ~active
+                        yield 0, k, False, r2, fade, present & ~active
                     continue
                 shares = [tier.activity, 1.0 - tier.activity] if idle else [tier.activity]
                 for s, share in enumerate(shares):
@@ -586,9 +587,9 @@ def _estimate_loads(networks, sim: SimConfig, placement: str, loads) -> list[Est
                         for chunk in _poisson_tier(
                             stream(k, s), share * tier.density, radius, trials, cutoff
                         ):
-                            yield (k, s == 0, *chunk)
+                            yield (0, k, s == 0, *chunk)
 
-        run = _count_covered(network, sim, block)
+        run = _count_covered(network, sim, block)[0]
         bound = _truncation_bound(network, [t.activity for t in network.tiers], radius, run[0])
         # a lattice tier holds as many sites per trial on average as a Poisson one
         area = math.pi * radius * radius
@@ -667,66 +668,84 @@ def estimate_coverage_system(
     lambda_u are the rows whose unit-rate arrival is at most pi lambda_u
     R^2, so those of a smaller density are a prefix of those of a larger
     one: the active stations nest in lambda_u, and on one seed coverage
-    never rises with it.
+    never rises with it.  So one run, associating each trial's users of the
+    largest density once, serves every user density of a grid
+    (_estimate_system).
     """
+    return _estimate_system(network, [user_density], resource_blocks, sim)[0]
+
+
+def _estimate_system(network: Network, user_densities, resource_blocks: int,
+                     sim: SimConfig) -> list[SystemEstimate]:
+    """estimate_coverage_system at each user density, in the order given,
+    each density taking its prefix of the association (chosen[:m]).  Every
+    density's window is checked, as its own call checks it, before anything
+    is drawn; the radius does not depend on the density."""
     if not (isinstance(resource_blocks, Integral) and resource_blocks >= 1):
         raise ValueError(f"resource_blocks must be an integer >= 1, got {resource_blocks}")
     densities = [t.density for t in network.tiers]
-    radius = _run_radius(sim, densities, [user_density, *densities])
+    radius = max(_run_radius(sim, densities, [lu, *densities]) for lu in user_densities)
     K = network.num_tiers
     rank = np.array([t.power for t in network.tiers]) ** (2.0 / network.alpha)
-    # the tier shares of the inner users of each trial that has some
-    shares = []
-    activity_sums, station_counts = np.zeros((2, K))
+    # per density, the tier shares of the inner users of each trial that has some
+    shares = [[] for _ in user_densities]
+    activity_sums, station_counts = np.zeros((len(user_densities), K)), np.zeros(K)
 
     def block(stream, trials):
         r2, fade, present, tier, positions, mark = _station_field(
             stream, densities, radius, trials)
-        users = np.zeros(trials, dtype=np.int64)
-        if user_density > 0.0:
-            for chunk in _poisson_tier(stream(K, 2), user_density, radius, trials):
-                users += np.count_nonzero(chunk[2], axis=0)
-            places = stream(K, 3).random((users.max(), _BLOCK_TRIALS, 2))
+        users = np.zeros((len(user_densities), trials), dtype=np.int64)
+        for j, user_density in enumerate(user_densities):
+            if user_density > 0.0:
+                for chunk in _poisson_tier(stream(K, 2), user_density, radius, trials):
+                    users[j] += np.count_nonzero(chunk[2], axis=0)
+        places = stream(K, 3).random((users.max(), _BLOCK_TRIALS, 2))
         # Without stations nobody is served and the trial counts as not
         # covered; without users every station stays idle.
-        activity = np.zeros(r2.shape)
-        for i, (n, m) in enumerate(zip(np.count_nonzero(present, axis=0), users)):
-            if not (n and m):
+        activity = np.zeros((len(user_densities), *r2.shape))
+        for i, n in enumerate(np.count_nonzero(present, axis=0)):
+            most = users[:, i].max()
+            if not (n and most):
                 continue
-            u = places[:m, i, 0]
-            points = _plane(radius * np.sqrt(u), 2.0 * math.pi * places[:m, i, 1])
+            u = places[:most, i, 0]
+            points = _plane(radius * np.sqrt(u), 2.0 * math.pi * places[:most, i, 1])
             chosen = _serving_station(points, positions[:n, i], rank[tier[:n, i]])
-            served = np.bincount(chosen, minlength=n)
-            activity[:n, i] = np.minimum(served / resource_blocks, 1.0)
-            inner = chosen[u <= 0.25]  # within R / 2 of the centre
-            if len(inner):
-                shares.append(np.bincount(tier[inner, i], minlength=K) / len(inner))
+            for j, m in enumerate(users[:, i]):
+                served = np.bincount(chosen[:m], minlength=n)
+                activity[j, :n, i] = np.minimum(served / resource_blocks, 1.0)
+                inner = chosen[:m][u[:m] <= 0.25]  # within R / 2 of the centre
+                if len(inner):
+                    shares[j].append(np.bincount(tier[inner, i], minlength=K) / len(inner))
         active = mark < activity
         for k in range(K):
             mine = present & (tier == k)
             station_counts[k] += np.count_nonzero(mine)
-            activity_sums[k] += np.sum(activity, where=mine)
-            yield k, True, r2, fade, mine & active
-            if k + 1 in network.access:
-                yield k, False, r2, fade, mine & ~active
+            for j in range(len(user_densities)):
+                activity_sums[j, k] += np.sum(activity[j], where=mine)
+                yield j, k, True, r2, fade, mine & active[j]
+                if k + 1 in network.access:
+                    yield j, k, False, r2, fade, mine & ~active[j]
 
-    run = _count_covered(network, sim, block)
-    # the trials with inner users, C-contiguous in trial order: mean and
-    # ddof=1 standard error as numpy's, 0 with one such trial or none
-    inner = np.reshape(shares, (-1, K))
-    n = max(len(inner), 1)
-    frac_mean = inner.sum(axis=0) / n
-    frac_err = np.sqrt(np.square(inner - frac_mean).sum(axis=0) / max(n - 1, 1)) / math.sqrt(n)
-    # a tier without stations has a zero sum
-    mean_activity = activity_sums / np.maximum(station_counts, 1)
-    bound = _truncation_bound(network, mean_activity, radius, run[0])
-    return SystemEstimate(
-        **vars(_binomial_estimate(network, run, "conditional-thinning", radius, bound,
-                                  [math.pi * radius * radius * sum(densities), 0.0])),
-        tier_user_fraction=tuple(float(v) for v in frac_mean),
-        tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
-        tier_mean_activity=tuple(float(v) for v in mean_activity),
-    )
+    runs = _count_covered(network, sim, block, len(user_densities))
+    estimates = []
+    for run, share, sums in zip(runs, shares, activity_sums):
+        # the trials with inner users, C-contiguous in trial order: mean and
+        # ddof=1 standard error as numpy's, 0 with one such trial or none
+        inner = np.reshape(share, (-1, K))
+        n = max(len(inner), 1)
+        frac_mean = inner.sum(axis=0) / n
+        frac_err = np.sqrt(np.square(inner - frac_mean).sum(axis=0) / max(n - 1, 1)) / math.sqrt(n)
+        # a tier without stations has a zero sum
+        mean_activity = sums / np.maximum(station_counts, 1)
+        bound = _truncation_bound(network, mean_activity, radius, run[0])
+        estimates.append(SystemEstimate(
+            **vars(_binomial_estimate(network, run, "conditional-thinning", radius, bound,
+                                      [math.pi * radius * radius * sum(densities), 0.0])),
+            tier_user_fraction=tuple(float(v) for v in frac_mean),
+            tier_user_fraction_stderr=tuple(float(v) for v in frac_err),
+            tier_mean_activity=tuple(float(v) for v in mean_activity),
+        ))
+    return estimates
 
 
 def _serving_station(points, positions, rank) -> np.ndarray:

@@ -304,8 +304,8 @@ def hypergeometric_sum(
     value depends on the term index m even though it plays the role of a
     constant inside each term.
     """
-    if m < 1:
-        raise ValueError(f"term index must be >= 1, got {m}")
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"term index must be an integer >= 1, got {m}")
     alpha = network.alpha
     two_over = 2.0 / alpha
     b = two_over * m
@@ -364,9 +364,9 @@ def activity_from_user_density(
         raise ModelValidationError(
             f"user_density must be finite and non-negative, got {user_density}"
         )
-    if resource_blocks < 1:
+    if not (isinstance(resource_blocks, numbers.Integral) and resource_blocks >= 1):
         raise ModelValidationError(
-            f"resource_blocks must be >= 1, got {resource_blocks}"
+            f"resource_blocks must be an integer >= 1, got {resource_blocks}"
         )
     reach, total = _association_shares(network)
     return tuple(min(1.0, user_density / resource_blocks * r / total) for r in reach)
@@ -407,8 +407,8 @@ class SeriesControl:
     def __post_init__(self) -> None:
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+        if not (isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
+            raise ValueError(f"max_terms must be an integer >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)

@@ -559,6 +559,13 @@ class TestSeriesControl:
         with pytest.raises(ValueError):
             SeriesControl(max_terms=0)
 
+    def test_max_terms_must_be_an_integer(self):
+        # a count, as SimConfig's trials: numpy integers pass
+        for bad in (2.5, 3.0, math.nan):
+            with pytest.raises(ValueError, match="an integer >= 1"):
+                SeriesControl(max_terms=bad)
+        assert SeriesControl(max_terms=np.int64(3)).max_terms == 3
+
 
 class TestSeriesKernel:
     def test_batch_is_bitwise_single_point_coverage(self):

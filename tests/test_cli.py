@@ -1153,8 +1153,9 @@ class TestSweepCommand:
             (["sweep", "--sweep-target", "tier[1].density", "--sweep-values", "0.5,1,2"], 3),
             (["sweep", "--sweep-target", "tier[2].power", "--sweep-values", "0.5,1,2"], 3),
             (["sweep", "--sweep-target", "tier[2].activity", "--sweep-values", "0.2,0.5,0.8"], 3),
+            # one run serves every user density of a system grid
             (["sweep", "--sweep-target", "user_density", "--sweep-values", "2,5,9",
-              "--resource-blocks", "10"], 3),
+              "--resource-blocks", "10"], 1),
             (["compare"], 1),
         ],
         ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else str(v),
@@ -1162,9 +1163,9 @@ class TestSweepCommand:
     def test_each_field_is_drawn_once(self, capsys, monkeypatch, split_scenario, argv, draws):
         reducer, runs = mcsim._count_covered, []
 
-        def tee(network, sim, block):
+        def tee(network, sim, block, count=1):
             runs.append(sim)
-            return reducer(network, sim, block)
+            return reducer(network, sim, block, count)
 
         monkeypatch.setattr(mcsim, "_count_covered", tee)
         engine = ["--engine", "mc"] if argv[0] == "sweep" else []
@@ -1173,6 +1174,17 @@ class TestSweepCommand:
         capsys.readouterr()
         assert code == cli.EXIT_OK
         assert len(runs) == draws
+
+    def test_a_user_density_grid_fails_before_it_draws(self, capsys, monkeypatch, split_scenario):
+        # 1e9 users per unit area overfill a window of radius 2: the grid
+        # reports that point's own error and draws nothing for the 0 before it
+        argv = ["sweep", "--scenario", split_scenario, "--sweep-target", "user_density",
+                "--resource-blocks", "10", "--engine", "mc", "--trials", "20", "--radius", "2"]
+        code = cli.main([*argv, "--sweep-values", "1e9"])
+        alone = capsys.readouterr()
+        monkeypatch.setattr(mcsim, "_count_covered", None)  # nothing may be drawn
+        assert cli.main([*argv, "--sweep-values", "0,1e9"]) == code == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == alone
 
     @pytest.mark.parametrize(
         "spelling, same_as",

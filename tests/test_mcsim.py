@@ -220,16 +220,18 @@ class TestRealization:
         # decision step's verdict on it
         reducer, runs = mcsim._count_covered, []
 
-        def tee(network, sim, block):
+        def tee(network, sim, block, count=1):
             chunks = []  # (tier, active, rows, r2, fade) of trial 0's stations
 
             def kept(stream, trials):  # the runs below hold one block
-                for k, active, r2, fade, present in block(stream, trials):
+                for run, k, active, r2, fade, present in block(stream, trials):
+                    assert run == 0  # each call below decides one run
                     rows = np.flatnonzero(present[:, 0])
                     chunks.append((k, active, rows, r2[rows, 0], fade[rows, 0]))
-                    yield k, active, r2, fade, present
-            runs.append((reducer(network, sim, kept), chunks))
-            return runs[-1][0]
+                    yield run, k, active, r2, fade, present
+            states = reducer(network, sim, kept, count)
+            runs.append((*states, chunks))
+            return states
 
         monkeypatch.setattr(mcsim, "_count_covered", tee)
         net = hc.Network(alpha=3.6, tiers=(
@@ -446,6 +448,76 @@ class TestEstimateCoverageSystem:
         assert all(a >= b for a, b in zip(means, means[1:]))
         assert means[0] > means[-1]
 
+    @pytest.mark.parametrize("trials", [1, 33, 64, 65, 130])
+    def test_one_run_equals_each_user_density_alone(self, trials):
+        # unsorted grids with a repeat and 0, on nets of 1-3 tiers with
+        # random closed access, across block boundaries
+        rng = np.random.default_rng(trials)
+        for _ in range(3):
+            k = int(rng.integers(1, 4))
+            tiers = tuple(hc.Tier(float(10.0 ** rng.uniform(-2.0, 0.0)),
+                                  float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.5, 3.0)), 0.5)
+                          for _ in range(k))
+            access = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False) + 1
+            net = hc.Network(alpha=float(rng.uniform(3.0, 4.5)), tiers=tiers,
+                             access=[int(a) for a in access])
+            sim = hc.SimConfig(trials=trials, seed=int(rng.integers(2**63)),
+                               window_radius=float(rng.uniform(2.0, 3.5)))
+            scale, blocks = rng.uniform(0.5, 1.5), int(rng.integers(1, 20))
+            for grid in ([5.0 * scale, 0.0, 9.0 * scale, 2.0 * scale, 5.0 * scale], [0.0]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a trial without a candidate
+                    batch = mcsim._estimate_system(net, grid, blocks, sim)
+                    alone = [hc.estimate_coverage_system(net, lu, blocks, sim) for lu in grid]
+                assert batch == alone
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coverage_never_rises_with_the_user_density_trial_by_trial(self, monkeypatch, seed):
+        # within one run the users of a smaller density are a prefix of a
+        # larger one's, so a trial that a larger density covers is covered
+        # by every smaller one
+        reducer, runs = mcsim._count_covered, []
+
+        def tee(network, sim, block, count=1):
+            runs.append(reducer(network, sim, block, count))
+            return runs[-1]
+
+        def covered(run):
+            # the decision step on each trial alone: 1 covered, 0 not
+            return np.array([mcsim._binomial_estimate(
+                net, [a[..., i:i + 1] for a in run], "conditional-thinning", 1.0, 0.0,
+                [0.0, 0.0]).mean for i in range(sim.trials)]) == 1.0
+
+        monkeypatch.setattr(mcsim, "_count_covered", tee)
+        net, grid = self.fig5(), [9.0, 8.0, 12.0, 0.0, 10.0, 9.0]
+        sim = hc.SimConfig(trials=mcsim._BLOCK_TRIALS + 36, seed=seed, window_radius=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # single trials without a candidate
+            estimates = mcsim._estimate_system(net, grid, 10, sim)
+            [states] = runs
+            decided = {lu: covered(run) for lu, run in zip(grid, states)}
+        assert len(states) == len(grid)
+        for lu, est in zip(grid, estimates):
+            assert np.count_nonzero(decided[lu]) == round(est.mean * sim.trials)
+        order = sorted(set(grid))
+        for low, high in zip(order, order[1:]):
+            assert not (decided[high] & ~decided[low]).any()
+        assert (decided[0.0] & ~decided[12.0]).any()
+
+    def test_a_grid_checks_every_window_before_drawing(self, monkeypatch):
+        # 1e9 users per unit area overfill a window of radius 2: the grid
+        # raises that point's own error, whatever comes before it
+        net, sim = self.fig5(), hc.SimConfig(trials=10, seed=0, window_radius=2.0)
+        for bad in (1e9, -1.0, math.nan):
+            with pytest.raises(hc.ModelValidationError) as alone:
+                hc.estimate_coverage_system(net, bad, 20, sim)
+            with monkeypatch.context() as patch:
+                patch.setattr(mcsim, "_block_rng", None)  # nothing may be drawn
+                for grid in ([0.0, bad], [bad, 0.0], [5.0, 2.0, bad]):
+                    with pytest.raises(hc.ModelValidationError) as batch:
+                        mcsim._estimate_system(net, grid, 20, sim)
+                    assert str(batch.value) == str(alone.value)
+
     def test_empty_windows_count_as_uncovered(self):
         # 2 stations per unit area on a disc of radius 0.15: about 87 % of
         # the trials hold no station at all
@@ -631,10 +703,10 @@ class TestBlockEngine:
                     for is_active, mask in ((True, present & active),
                                             (False, present & ~active)):
                         cut = int(rng.integers(0, len(r2) + 1))
-                        yield k, is_active, r2[:cut], fade[:cut], mask[:cut]
-                        yield k, is_active, r2[cut:], fade[cut:], mask[cut:]
+                        yield 0, k, is_active, r2[:cut], fade[:cut], mask[:cut]
+                        yield 0, k, is_active, r2[cut:], fade[cut:], mask[cut:]
 
-            run = mcsim._count_covered(net, sim, block)
+            [run] = mcsim._count_covered(net, sim, block)
             assert next(pending, None) is None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # most trials hold no candidate
@@ -648,9 +720,10 @@ class TestBlockEngine:
         reducer = mcsim._count_covered
         states = []  # each run's (interference, best, found) columns
 
-        def tee(network, sim, block):
-            states.append(reducer(network, sim, block))
-            return states[-1]
+        def tee(network, sim, block, count=1):
+            found = reducer(network, sim, block, count)
+            states.extend(found)  # one run per call below
+            return found
 
         monkeypatch.setattr(mcsim, "_count_covered", tee)
         # runs that end one short of, at and one past two block boundaries,
@@ -680,8 +753,8 @@ class TestBlockEngine:
     def test_one_run_is_decided_for_any_targets_and_access(self, monkeypatch, placement):
         reducer, runs = mcsim._count_covered, []
 
-        def tee(network, sim, block):
-            runs.append(reducer(network, sim, block))
+        def tee(network, sim, block, count=1):
+            runs.append(reducer(network, sim, block, count))
             return runs[-1]
 
         def retarget(network, factors, access):
@@ -707,7 +780,7 @@ class TestBlockEngine:
             for access in (None, [1, 3]):
                 net = retarget(base, [1.0] * 3, access)
                 estimates = mcsim._estimate_loads([net], sim, placement, mcsim.LOAD_MODES)
-                run = runs[-1]
+                [run] = runs[-1]
                 for load, est in zip(mcsim.LOAD_MODES, estimates):
                     # a raised target covers no trial the lower one leaves
                     # uncovered, trial by trial
@@ -841,8 +914,8 @@ class TestBlockEngine:
     def test_neighbours_that_share_a_field_share_its_draw(self, monkeypatch, placement, trials):
         reducer, runs = mcsim._count_covered, []
 
-        def tee(network, sim, block):
-            runs.append(reducer(network, sim, block))
+        def tee(network, sim, block, count=1):
+            runs.append(reducer(network, sim, block, count))
             return runs[-1]
 
         def variant(network, targets_db, access, densities=(1.0, 3.0, 0.5)):

@@ -7,6 +7,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,6 +203,14 @@ class TestHypergeometricSum:
         with pytest.raises(ValueError):
             hypergeometric_sum(Network(alpha=4.0, tiers=(tier(),)), 0)
 
+    def test_index_must_be_an_integer(self):
+        # as correction_term's m: a value between two terms is no term
+        net = Network(alpha=4.0, tiers=(tier(),))
+        for m in (2.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="an integer >= 1"):
+                hypergeometric_sum(net, m)
+        assert hypergeometric_sum(net, 2.0) == hypergeometric_sum(net, np.int64(2))
+
 
 class TestEffectiveLoad:
     def test_common_activity_is_recovered(self):
@@ -287,6 +296,15 @@ class TestActivityCalibration:
                 activity_from_user_density(self.fig5_network(), user_density, 20)
         with pytest.raises(ModelValidationError):
             activity_from_user_density(self.fig5_network(), 1.0, 0)
+
+    def test_resource_blocks_must_be_an_integer(self):
+        # as estimate_coverage_system's: numpy integers pass
+        net = self.fig5_network()
+        for blocks in (2.5, 2.0, math.nan):
+            with pytest.raises(ModelValidationError, match="an integer >= 1"):
+                activity_from_user_density(net, 5.0, blocks)
+        assert (activity_from_user_density(net, 5.0, np.int64(2))
+                == activity_from_user_density(net, 5.0, 2))
 
     def test_an_underflowing_association_weight_is_a_validation_error(self):
         # (P / beta)^(2/alpha) underflows to 0: both shares raise the one message
